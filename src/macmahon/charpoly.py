@@ -89,6 +89,8 @@ class SymMatrix:
         any platform; out-of-range draws are rejected to keep the
         distribution exactly uniform.
         """
+        if low > high:
+            raise ValueError(f"empty entry range: low={low} > high={high}")
         span = high - low + 1
         bits = max(span - 1, 1).bit_length()
         stream = _splitmix64(seed)

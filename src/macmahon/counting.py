@@ -81,14 +81,18 @@ class TransferGraph:
     states: tuple[Word, ...]
     edges: dict
 
+    def step(self, counts: dict[Word, int]) -> dict[Word, int]:
+        """Walk counts per end state, extended by one edge."""
+        nxt: dict[Word, int] = {}
+        for state, count in counts.items():
+            for target in self.edges[state]:
+                nxt[target] = nxt.get(target, 0) + count
+        return nxt
+
     def walk_counts(self, steps: int) -> dict[Word, int]:
         counts = {state: 1 for state in self.states}
         for _ in range(steps):
-            nxt: dict[Word, int] = {}
-            for state, count in counts.items():
-                for target in self.edges[state]:
-                    nxt[target] = nxt.get(target, 0) + count
-            counts = nxt
+            counts = self.step(counts)
         return counts
 
 
@@ -143,12 +147,8 @@ def _count_transfer(params: AlgebraParams, length: int, variant: str) -> list[in
     if length >= k - 1:
         graph = build_transfer_graph(params, variant)
         counts = {state: 1 for state in graph.states}
-        for l in range(k, length + 1):
-            nxt: dict[Word, int] = {}
-            for state, count in counts.items():
-                for target in graph.edges[state]:
-                    nxt[target] = nxt.get(target, 0) + count
-            counts = nxt
+        for _ in range(k, length + 1):
+            counts = graph.step(counts)
             values.append(sum(counts.values()))
     return values
 

@@ -7,13 +7,14 @@ the series sum over admissible words i of g(i) t_{i_1} ... t_{i_l}.  The
 identity states that this series times the second factor (`charpoly`)
 equals 1.
 
-`first_factor` computes all g(i) up to a length cap in one sweep: the
-normal form of y_{i_1} ... y_{i_l} is the normal form of the suffix
-product left-multiplied by y_{i_1}, so vectors are shared across the up to
-m words with a common suffix, and at the last level only the diagonal
-coefficient of each vector is extracted.  When all rows of A are equal
-(such as the all-ones matrix) every vector of a level coincides and one
-vector per length suffices.
+`first_factor` computes all g(i) up to a length cap in one depth-first
+sweep over all words j of length <= cap.  Expanding the product of the
+y's gives g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where
+c(i, j) is the coefficient of x_i in the normal form NF(j) of
+x_{j_1} ... x_{j_l}.  The sweep gets NF(j) from NF(j_2 ... j_l) by
+left-multiplying each term with x_{j_1}, and scatters each term of NF(j)
+into g(i).  Its cost is the sum over j of |NF(j)|, and only the cap
+normal forms on the current path of the walk are live at any time.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -59,129 +60,38 @@ def _prepend_nf(cache: dict, params: AlgebraParams, j: int, w: Word) -> dict[Wor
     return nf
 
 
-def _corrections(cache: dict, nf_cache: dict, params: AlgebraParams, w: Word):
-    # For each j making (j,) + w non-admissible, the normal form of
-    # x_j * w grouped by the suffix u[1:] of each resulting term u:
-    # a list of (j, {suffix: [(first_letter, coeff), ...]}).
-    entry = cache.get(w)
-    if entry is None:
-        entry = []
-        if len(w) >= params.k - 1 and _strictly_decreasing(w[:params.k - 1]):
-            for j in range(w[0] + 1, params.m + 1):
-                grouped: dict[Word, list] = {}
-                for u, coeff in _prepend_nf(nf_cache, params, j, w).items():
-                    grouped.setdefault(u[1:], []).append((u[0], coeff))
-                entry.append((j, grouped))
-        cache[w] = entry
-    return entry
-
-
-def _valid_first_letters(suffix: Word, params: AlgebraParams) -> range:
-    if len(suffix) >= params.k - 1 and _strictly_decreasing(suffix[:params.k - 1]):
-        return range(1, suffix[0] + 1)
-    return range(1, params.m + 1)
-
-
-def _shared_row_table(row: list[Coeff], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
-    # identical matrix rows: y_1 = ... = y_m, so the vector of normal-form
-    # coefficients depends only on the word length
+def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
+    # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
+    # each term c * i of NF(j) adds c * prod_s a_{i_s j_s} to g(i)
     m = params.m
     nf_cache: dict = {}
-    table: dict[Word, Coeff] = {(): 1}
-    vec: dict[Word, Coeff] = {(): 1}
-    for _ in range(cap):
-        nxt: dict[Word, Coeff] = {}
-        for w, cw in vec.items():
-            for j in range(1, m + 1):
-                aij = row[j - 1]
-                if not aij:
-                    continue
-                scale = aij * cw
-                for w2, coeff in _prepend_nf(nf_cache, params, j, w).items():
-                    total = nxt.get(w2, 0) + scale * coeff
+    table: dict[Word, Coeff] = {}
+
+    def visit(j: Word, nf: dict[Word, int]) -> None:
+        for i, c in nf.items():
+            weight = c
+            for a, b in zip(i, j):
+                entry = rows[a - 1][b - 1]
+                if not entry:
+                    break
+                weight = weight * entry
+            else:
+                table[i] = table.get(i, 0) + weight
+        if len(j) == cap:
+            return
+        for a in range(1, m + 1):
+            child: dict[Word, int] = {}
+            for w, c in nf.items():
+                for u, coeff in _prepend_nf(nf_cache, params, a, w).items():
+                    total = child.get(u, 0) + c * coeff
                     if total:
-                        nxt[w2] = total
+                        child[u] = total
                     else:
-                        nxt.pop(w2, None)
-        vec = nxt
-        table.update(vec)
-    return table
+                        child.pop(u, None)
+            visit((a,) + j, child)
 
-
-def _general_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
-    m = params.m
-    nf_cache: dict = {}
-    corrections_cache: dict = {}
-    table: dict[Word, Coeff] = {(): 1}
-    level: dict[Word, dict[Word, Coeff]] = {(): {(): 1}}
-    for length in range(1, cap + 1):
-        if length == cap:
-            # last level: only the diagonal coefficient of each vector
-            # contributes, so no new vectors are materialised
-            for suffix, vec in level.items():
-                acc: dict[tuple[int, int], Coeff] = {}
-                for w, cw in vec.items():
-                    for j, grouped in _corrections(corrections_cache, nf_cache, params, w):
-                        bucket = grouped.get(suffix)
-                        if bucket:
-                            for c0, coeff in bucket:
-                                key = (c0, j)
-                                acc[key] = acc.get(key, 0) + cw * coeff
-                diag = vec.get(suffix, 0)
-                per_first: dict[int, Coeff] = {}
-                if diag:
-                    # the trivial part of x_j * w lands on the diagonal
-                    # exactly when j is the first letter and w the suffix
-                    for c0 in _valid_first_letters(suffix, params):
-                        aij = rows[c0 - 1][c0 - 1]
-                        if aij:
-                            per_first[c0] = aij * diag
-                for (c0, j), value in acc.items():
-                    if not value:
-                        continue
-                    aij = rows[c0 - 1][j - 1]
-                    if not aij:
-                        continue
-                    per_first[c0] = per_first.get(c0, 0) + aij * value
-                for c0, value in per_first.items():
-                    if value:
-                        table[(c0,) + suffix] = value
-            break
-        nxt: dict[Word, dict[Word, Coeff]] = {}
-        for suffix, vec in level.items():
-            partials = []
-            for j in range(1, m + 1):
-                u: dict[Word, Coeff] = {}
-                for w, cw in vec.items():
-                    for w2, coeff in _prepend_nf(nf_cache, params, j, w).items():
-                        total = u.get(w2, 0) + cw * coeff
-                        if total:
-                            u[w2] = total
-                        else:
-                            u.pop(w2, None)
-                partials.append(u)
-            for c0 in _valid_first_letters(suffix, params):
-                row = rows[c0 - 1]
-                vec2: dict[Word, Coeff] = {}
-                for j in range(1, m + 1):
-                    aij = row[j - 1]
-                    if not aij:
-                        continue
-                    for w2, cu in partials[j - 1].items():
-                        total = vec2.get(w2, 0) + aij * cu
-                        if total:
-                            vec2[w2] = total
-                        else:
-                            vec2.pop(w2, None)
-                if not vec2:
-                    continue
-                word = (c0,) + suffix
-                nxt[word] = vec2
-                value = vec2.get(word)
-                if value:
-                    table[word] = value
-        level = nxt
-    return table
+    visit((), {(): 1})
+    return {i: value for i, value in table.items() if value}
 
 
 @dataclass(frozen=True)
@@ -231,8 +141,7 @@ class FirstFactorSeries:
         return TruncatedSeries(Poly(acc), self.cap)
 
 
-def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int,
-                 _force_general: bool = False) -> FirstFactorSeries:
+def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:
     """Compute g(i) for every admissible word i with len(i) <= cap."""
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
@@ -240,10 +149,7 @@ def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int,
         raise ValueError("cap must be nonnegative")
     rows = [[_entry_coeff(e) for e in row] for row in matrix.entries]
     mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
-    if not _force_general and all(row == rows[0] for row in rows[1:]):
-        table = _shared_row_table(rows[0], params, cap)
-    else:
-        table = _general_table(rows, params, cap)
+    table = _sweep_table(rows, params, cap)
     return FirstFactorSeries(params=params, cap=cap, mode=mode, coeffs=table)
 
 

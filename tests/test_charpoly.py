@@ -151,6 +151,13 @@ def test_random_matrix_reproducible():
     assert all(-3 <= v <= 3 for v in flat)
 
 
+def test_random_matrix_range_bounds():
+    # an empty range must fail at once instead of rejecting draws forever
+    with pytest.raises(ValueError):
+        SymMatrix.random(2, seed=1, low=3, high=-3)
+    assert SymMatrix.random(2, seed=1, low=4, high=4).scalar_rows() == [[4, 4], [4, 4]]
+
+
 def test_matrix_json_numeric():
     obj = {"m": 2, "mode": "numeric", "entries": [["1/2", "0"], [3, "-2/3"]]}
     matrix = matrix_from_json_obj(obj)

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from macmahon.charpoly import SymMatrix, second_factor
 from macmahon.identity import (
@@ -133,14 +134,43 @@ def test_g_routes_agree(matrix, params):
             assert incremental == path_sum_route(matrix, word, params, cache)
 
 
-def test_shared_row_path_matches_general():
-    for params in (P32, P33):
-        shared = first_factor(SymMatrix.ones(3), params, 5)
-        general = first_factor(SymMatrix.ones(3), params, 5, _force_general=True)
-        assert shared.coeffs == general.coeffs
-    uneven = SymMatrix.from_rows([[2, -1], [2, -1]])
-    assert first_factor(uneven, P22, 5).coeffs == \
-        first_factor(uneven, P22, 5, _force_general=True).coeffs
+def admissible_up_to(params, cap):
+    return [w for length in range(cap + 1) for w in enumerate_admissible(params, length)]
+
+
+def test_equal_rows_match_g_coefficient():
+    # matrices whose rows all coincide, where every y_i is the same element
+    cases = [(SymMatrix.ones(3), P32), (SymMatrix.ones(3), P33),
+             (SymMatrix.from_rows([[2, -1], [2, -1]]), P22)]
+    for matrix, params in cases:
+        table = first_factor(matrix, params, 5)
+        for word in admissible_up_to(params, 5):
+            assert table.g(word) == g_coefficient(matrix, word, params)
+
+
+@st.composite
+def matrix_params_cap(draw):
+    k = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(k, 3))
+    entries = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    return SymMatrix.from_rows(rows), AlgebraParams(m, k), draw(st.integers(0, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(matrix_params_cap())
+@example((SymMatrix.from_rows([[0, 0, 0]] * 3), P33, 4))
+@example((SymMatrix.from_rows([[0, 1], [-2, 0]]), P22, 0))
+def test_first_factor_matches_oracles(case):
+    matrix, params, cap = case
+    table = first_factor(matrix, params, cap)
+    words = admissible_up_to(params, cap)
+    assert set(table.coeffs) <= set(words)
+    cache = {}
+    for word in words:
+        g = g_coefficient(matrix, word, params)
+        assert table.g(word) == g
+        assert path_sum_route(matrix, word, params, cache) == g
 
 
 def test_series_collects_words_by_monomial():
