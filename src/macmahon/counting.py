@@ -144,7 +144,7 @@ def _count_dp(params: AlgebraParams, length: int, variant: str) -> list[int]:
 def _count_transfer(params: AlgebraParams, length: int, variant: str) -> list[int]:
     m, k = params.m, params.k
     values = [m ** l for l in range(min(k - 1, length) + 1)]
-    if length >= k - 1:
+    if length >= k:
         graph = build_transfer_graph(params, variant)
         counts = {state: 1 for state in graph.states}
         for _ in range(k, length + 1):

@@ -16,6 +16,16 @@ left-multiplying each term with x_{j_1}, and scatters each term of NF(j)
 into g(i).  Its cost is the sum over j of |NF(j)|, and only the cap
 normal forms on the current path of the walk are live at any time.
 
+The weight c(i, j) a_{i_1 j_1} ... a_{i_l j_l} of each term is carried
+along the path: almost every left-multiplication x_a * w is already
+admissible, and then the term (a,) + w of the child inherits a_aa times
+the weight of w.  Only the prepends whose front k-window is strictly
+decreasing are rewritten, cached and weighed afresh (`_FrontRewriter`).
+
+Rewriting preserves the content (multiset of letters) of a word, and all
+words of one content share their t-monomial, so `series()` sums g over
+each content class before attaching the monomial once per class.
+
 Everything is exact; no tolerances appear anywhere.
 """
 
@@ -23,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Mapping, Optional, Sequence, Union
 
 from .charpoly import SymMatrix, alpha, enumerate_partial_perms, second_factor
 from .polyring import Poly, TruncatedSeries, mono_mul, tvar, word_t_monomial
-from .rewrite import _normal_form_terms
+from .rewrite import _expand_at, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
 Coeff = Union[int, Fraction, Poly]
@@ -48,49 +58,133 @@ def _strictly_decreasing(seq: Sequence[int]) -> bool:
 
 def _prepend_nf(cache: dict, params: AlgebraParams, j: int, w: Word) -> dict[Word, int]:
     # normal form of x_j * w for admissible w; only the front k-window of
-    # (j,) + w can be non-admissible
+    # (j,) + w can be non-admissible, and only those that are get cached
     word = (j,) + w
+    if len(word) < params.k or not _strictly_decreasing(word[:params.k]):
+        return {word: 1}
     nf = cache.get(word)
     if nf is None:
-        if len(word) >= params.k and _strictly_decreasing(word[:params.k]):
-            nf = _normal_form_terms(word, params)
-        else:
-            nf = {word: 1}
-        cache[word] = nf
+        nf = cache[word] = _normal_form_terms(word, params)
     return nf
+
+
+def _accumulate(acc: dict, key, value) -> None:
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
+    # c * prod_s a_{i_s j_s}, stopping at the first zero entry
+    weight = c
+    for a, b in zip(i, j):
+        entry = rows[a - 1][b - 1]
+        if not entry:
+            return 0
+        weight = weight * entry
+    return weight
+
+
+class _FrontRewriter:
+    """Normal forms of x_a * w for admissible w, memoised on the rewritten words.
+
+    Only the front k-window of (a,) + w can be strictly decreasing; it is
+    when w opens with a strictly decreasing (k-1)-window whose first letter
+    is below a.  Solving the defining relation for that window gives the
+    other arrangements of its letters, each followed by the admissible rest
+    of w, and each arrangement is left-multiplied onto that rest one letter
+    at a time.  Every word rewritten on the way has fewer inversions than
+    (a,) + w, so the recursion ends.
+    """
+
+    def __init__(self, params: AlgebraParams):
+        self.m, self.k = params.m, params.k
+        self.heads = {d: d[0] for d in combinations(range(self.m, 0, -1), self.k - 1)}
+        self.cache: dict[Word, dict[Word, int]] = {}
+        self.blocks: dict[Word, list[tuple[Word, int]]] = {}
+
+    def head(self, w: Word) -> int:
+        """x_a * w needs rewriting exactly when a > head(w)."""
+        return self.heads.get(w[:self.k - 1], self.m)
+
+    def front(self, word: Word) -> dict[Word, int]:
+        """NF(word) for a word (a,) + w with x_a * w needing rewriting."""
+        nf = self.cache.get(word)
+        if nf is None:
+            k = self.k
+            block, rest = word[:k], word[k:]
+            arrangements = self.blocks.get(block)
+            if arrangements is None:
+                arrangements = self.blocks[block] = _expand_at(block, 0, k)
+            nf = {}
+            for arranged, sign in arrangements:
+                vec = {rest: 1}
+                for letter in reversed(arranged):
+                    vec = self.times(letter, vec)
+                for u, c in vec.items():
+                    _accumulate(nf, u, sign * c)
+            self.cache[word] = nf
+        return nf
+
+    def times(self, a: int, vec: dict[Word, int]) -> dict[Word, int]:
+        """x_a times a combination of admissible words."""
+        out: dict[Word, int] = {}
+        for w, c in vec.items():
+            if a > self.head(w):
+                for u, coeff in self.front((a,) + w).items():
+                    _accumulate(out, u, c * coeff)
+            else:
+                _accumulate(out, (a,) + w, c)
+        return out
 
 
 def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
-    # each term c * i of NF(j) adds c * prod_s a_{i_s j_s} to g(i)
+    # each term c * i of NF(j) adds its weight c * prod_s a_{i_s j_s} to g(i).
+    # A term w whose prepend (a,) + w stays admissible passes to the child
+    # with weight a_aa times its own; only the other terms are rewritten
+    # and have their weight multiplied out afresh.
     m = params.m
-    nf_cache: dict = {}
+    rewriter = _FrontRewriter(params)
     table: dict[Word, Coeff] = {}
 
-    def visit(j: Word, nf: dict[Word, int]) -> None:
-        for i, c in nf.items():
-            weight = c
-            for a, b in zip(i, j):
-                entry = rows[a - 1][b - 1]
-                if not entry:
-                    break
-                weight = weight * entry
-            else:
+    def visit(j: Word, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        for i in coeffs:
+            weight = weights[i]
+            if weight:
                 table[i] = table.get(i, 0) + weight
         if len(j) == cap:
             return
+        terms = [(w, c, weights[w], rewriter.head(w)) for w, c in coeffs.items()]
         for a in range(1, m + 1):
+            diagonal = rows[a - 1][a - 1]
             child: dict[Word, int] = {}
-            for w, c in nf.items():
-                for u, coeff in _prepend_nf(nf_cache, params, a, w).items():
-                    total = child.get(u, 0) + c * coeff
-                    if total:
-                        child[u] = total
-                    else:
-                        child.pop(u, None)
-            visit((a,) + j, child)
+            child_weights: dict[Word, Coeff] = {}
+            rewritten: list[Word] = []
+            for w, c, weight, head in terms:
+                word = (a,) + w
+                if a > head:
+                    nf = rewriter.front(word)
+                    for u, coeff in nf.items():
+                        _accumulate(child, u, c * coeff)
+                    rewritten.extend(nf)
+                elif word in child:
+                    # reached by a rewrite too, so its weight is redone below
+                    _accumulate(child, word, c)
+                else:
+                    child[word] = c
+                    child_weights[word] = diagonal * weight if diagonal and weight else 0
+            # child_weights may keep words that cancelled out of child; only
+            # the keys of child are ever read
+            child_j = (a,) + j
+            for u in rewritten:
+                if u in child:
+                    child_weights[u] = _path_weight(rows, child[u], u, child_j)
+            visit(child_j, child, child_weights)
 
-    visit((), {(): 1})
+    visit((), {(): 1}, {(): 1})
     return {i: value for i, value in table.items() if value}
 
 
@@ -121,24 +215,22 @@ class FirstFactorSeries:
 
     def series(self) -> TruncatedSeries:
         """The first factor as a polynomial in the t (and perhaps a) variables."""
-        acc: dict = {}
+        # words of one content share their t-monomial, so sum g over each
+        # content class first and attach the monomial once per class
+        by_content: dict[Word, dict] = {}
         for w, value in self.coeffs.items():
-            tmono = word_t_monomial(w)
+            acc = by_content.setdefault(tuple(sorted(w)), {})
             if isinstance(value, Poly):
                 for mono, coeff in value.terms.items():
-                    full = mono_mul(mono, tmono)
-                    total = acc.get(full, 0) + coeff
-                    if total:
-                        acc[full] = total
-                    else:
-                        acc.pop(full, None)
+                    _accumulate(acc, mono, coeff)
             else:
-                total = acc.get(tmono, 0) + value
-                if total:
-                    acc[tmono] = total
-                else:
-                    acc.pop(tmono, None)
-        return TruncatedSeries(Poly(acc), self.cap)
+                _accumulate(acc, (), value)
+        terms: dict = {}
+        for content, acc in by_content.items():
+            tmono = word_t_monomial(content)
+            for mono, coeff in acc.items():
+                _accumulate(terms, mono_mul(mono, tmono), coeff)
+        return TruncatedSeries(Poly(terms), self.cap)
 
 
 def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:

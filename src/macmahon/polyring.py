@@ -5,8 +5,12 @@ is the tuple ('a', i, j) or ('t', i); coefficients are exact ints or
 `fractions.Fraction`s.  Nothing here is ever floating point.
 
 Truncation and series arithmetic grade by total degree in the t variables
-only; degrees in the a variables are never restricted.  `series_inverse`
-inverts any polynomial whose t-degree-0 component is exactly 1.
+only; degrees in the a variables are never restricted.  A product of
+truncated series drops pairs above the cap as it goes: the right factor is
+bucketed by t-degree, and a left term of t-degree d meets only the buckets
+of degree <= cap - d, so no term is formed only to be truncated.
+`series_inverse` inverts any polynomial whose t-degree-0 component is
+exactly 1.
 
 The canonical term order used for printing and serialisation is graded
 lexicographic on (t-degree, monomial).
@@ -357,13 +361,39 @@ class TruncatedSeries:
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.poly * other.poly, min(self.cap, other.cap))
+            return _truncated_product(self.poly, other.poly, min(self.cap, other.cap))
+        if isinstance(other, Poly):
+            return _truncated_product(self.poly, other, self.cap)
         return TruncatedSeries(self.poly * other, self.cap)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"{self.poly} + O(t^{self.cap + 1})"
+
+
+def _truncated_product(left: Poly, right: Poly, cap: int) -> TruncatedSeries:
+    # the product up to t-degree cap: each left term of t-degree d meets only
+    # the right terms of t-degree <= cap - d, so no pair above the cap is formed
+    buckets: list[list] = [[] for _ in range(cap + 1)]
+    for mono, coeff in right.terms.items():
+        degree = mono_t_degree(mono)
+        if degree <= cap:
+            buckets[degree].append((mono, coeff))
+    acc: dict = {}
+    for mono1, coeff1 in left.terms.items():
+        room = cap - mono_t_degree(mono1)
+        if room < 0:
+            continue
+        for bucket in buckets[:room + 1]:
+            for mono2, coeff2 in bucket:
+                mono = mono_mul(mono1, mono2)
+                total = acc.get(mono, 0) + coeff1 * coeff2
+                if total:
+                    acc[mono] = _normalise(total)
+                else:
+                    acc.pop(mono, None)
+    return TruncatedSeries(Poly._raw(acc), cap)
 
 
 def series_inverse(poly: Poly, cap: int) -> TruncatedSeries:

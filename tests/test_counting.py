@@ -75,6 +75,19 @@ def test_method_argument_validation():
         count_admissible(P33, 3, "loose")
 
 
+def test_transfer_skips_graph_below_k(monkeypatch):
+    # words shorter than k are all admissible, so no window graph is needed
+    def refuse(*args, **kwargs):
+        raise AssertionError("transfer graph built for a length below k")
+
+    monkeypatch.setattr("macmahon.counting.build_transfer_graph", refuse)
+    for m, k in [(2, 2), (4, 3), (200, 3)]:
+        for variant in (STRICT, WEAK):
+            for length in range(k):
+                table = count_admissible(AlgebraParams(m, k), length, variant, TRANSFER)
+                assert table.values == tuple(m ** l for l in range(length + 1))
+
+
 def test_transfer_graph_structure():
     graph = build_transfer_graph(AlgebraParams(2, 2))
     assert graph.states == ((1,), (2,))

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from macmahon.charpoly import SymMatrix, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
+    _FrontRewriter,
     _report_from_residuals,
     first_factor,
     g_coefficient,
     verify_corollary,
     verify_master,
 )
-from macmahon.polyring import Poly, avar, tvar
+from macmahon.polyring import Poly, TruncatedSeries, avar, tvar, word_t_monomial
 from macmahon.rewrite import _normal_form_terms, reversion_vector
 from macmahon.words import AlgebraParams, enumerate_admissible
 
@@ -111,6 +112,7 @@ def test_zero_rows_prune_words():
     (SymMatrix.random(3, seed=5), P32, 4),
     (SymMatrix.random(3, seed=6), P33, 4),
     (SymMatrix.symbolic(3), P33, 3),
+    (SymMatrix.symbolic(3), P33, 4),
 ])
 def test_first_factor_matches_g_coefficient(matrix, params, cap):
     table = first_factor(matrix, params, cap)
@@ -148,6 +150,32 @@ def test_equal_rows_match_g_coefficient():
             assert table.g(word) == g_coefficient(matrix, word, params)
 
 
+@pytest.mark.parametrize("params,length", [
+    (P22, 6), (P33, 6), (AlgebraParams(4, 3), 5), (AlgebraParams(4, 4), 5), (AlgebraParams(5, 3), 4),
+])
+def test_front_rewriter_matches_normal_form(params, length):
+    # every prepend x_a * w of an admissible w: rewritten exactly when
+    # a > head(w), and then to the same normal form as the worklist gives
+    rewriter = _FrontRewriter(params)
+    for word in admissible_up_to(params, length - 1):
+        for a in range(1, params.m + 1):
+            expected = _normal_form_terms((a,) + word, params)
+            if a > rewriter.head(word):
+                assert rewriter.front((a,) + word) == expected
+            else:
+                assert expected == {(a,) + word: 1}
+
+
+def test_rewrite_meeting_an_admissible_prepend():
+    # in the sweep's step to j = (4,4,3,2,2,1), the word (4,1,2,2,3,4) is
+    # both the admissible prepend x_4 * (1,2,2,3,4) and a term of a rewritten
+    # prepend, so its coefficients must merge and its weight be redone
+    params = AlgebraParams(4, 3)
+    word = (4, 1, 2, 2, 3, 4)
+    for matrix in (SymMatrix.ones(4), SymMatrix.random(4, seed=3, low=1, high=3)):
+        assert first_factor(matrix, params, 6).g(word) == g_coefficient(matrix, word, params)
+
+
 @st.composite
 def matrix_params_cap(draw):
     k = draw(st.sampled_from((2, 3)))
@@ -161,6 +189,11 @@ def matrix_params_cap(draw):
 @given(matrix_params_cap())
 @example((SymMatrix.from_rows([[0, 0, 0]] * 3), P33, 4))
 @example((SymMatrix.from_rows([[0, 1], [-2, 0]]), P22, 0))
+# zero diagonals: a prepend that stays admissible passes on a zero weight
+@example((SymMatrix.from_rows([[0, 1], [1, 0]]), P22, 4))
+@example((SymMatrix.from_rows([
+    [Fraction(1, 2), 0, 2], [Fraction(-1, 3), 1, Fraction(3, 2)], [0, Fraction(2, 5), 0],
+]), P33, 4))
 def test_first_factor_matches_oracles(case):
     matrix, params, cap = case
     table = first_factor(matrix, params, cap)
@@ -179,6 +212,41 @@ def test_series_collects_words_by_monomial():
     t1, t2 = Poly.variable(tvar(1)), Poly.variable(tvar(2))
     assert series.poly == 1 + t1 + t2 + t1 ** 2 + t1 * t2 + t2 ** 2
     assert series.cap == 2
+
+
+def per_word_series(table):
+    # the first factor summed word by word, each g(w) times its own t-monomial
+    total = Poly.zero()
+    for w, value in table.coeffs.items():
+        total = total + Poly.monomial(word_t_monomial(w)) * value
+    return TruncatedSeries(total, table.cap)
+
+
+@pytest.mark.parametrize("matrix,params,cap", [
+    (SymMatrix.random(3, seed=11), P33, 5),
+    (SymMatrix.random(3, seed=12), P32, 5),
+    (SymMatrix.from_rows([[Fraction(1, 2), 0, 3], [Fraction(-2, 3), 1, 0], [0, Fraction(5, 7), 0]]), P33, 5),
+    (SymMatrix.symbolic(3), P33, 4),
+    (SymMatrix.symbolic(2), P22, 4),
+])
+def test_series_matches_per_word_sum(matrix, params, cap):
+    table = first_factor(matrix, params, cap)
+    assert table.series() == per_word_series(table)
+
+
+def test_series_cancels_within_content_class():
+    a11, a12 = Poly.variable(avar(1, 1)), Poly.variable(avar(1, 2))
+    t1, t2 = Poly.variable(tvar(1)), Poly.variable(tvar(2))
+    table = FirstFactorSeries(P33, 3, "symbolic", {
+        (): 1,
+        (1, 2): a11 + a12, (2, 1): -a11,                # class t1*t2 keeps only a12
+        (1, 2, 1): 2, (2, 1, 1): -2,                    # class t1^2*t2 vanishes
+        (1, 2, 2): Fraction(1, 2), (2, 2, 1): Fraction(1, 2),
+    })
+    series = table.series()
+    assert series == per_word_series(table)
+    assert series.poly == 1 + a12 * t1 * t2 + t1 * t2 ** 2
+    assert all(type(c) is int for c in series.poly.terms.values())
 
 
 def test_first_factor_series_symbolic_degree_one():

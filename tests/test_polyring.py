@@ -192,3 +192,22 @@ def test_series_inverse_is_inverse(p):
     inv = series_inverse(q, 4)
     product = inv * q
     assert product.poly == 1
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_frac_polys = st.lists(
+    st.tuples(_monomials, _fractions), max_size=6
+).map(lambda terms: Poly({m: c for m, c in reversed(terms)}))
+
+
+@given(_frac_polys, _frac_polys, st.integers(0, 4), st.integers(0, 4), _fractions)
+@settings(max_examples=80)
+def test_truncated_product_matches_full_product(p, q, cap_p, cap_q, scalar):
+    # the product that drops pairs above the cap agrees with multiplying in
+    # full and truncating afterwards
+    left, right = TruncatedSeries(p, cap_p), TruncatedSeries(q, cap_q)
+    assert left * right == TruncatedSeries(left.poly * right.poly, min(cap_p, cap_q))
+    assert left * q == TruncatedSeries(left.poly * q, cap_p)
+    assert q * left == TruncatedSeries(left.poly * q, cap_p)
+    assert left * scalar == TruncatedSeries(left.poly * scalar, cap_p)
+    assert scalar * left == left * scalar
