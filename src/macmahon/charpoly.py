@@ -11,7 +11,13 @@ Expanding the minors over partial permutations gives the equivalent form
     c_r = (-1)**r * sum over partial permutations w with support size r
           of sgn(w) * product of M[j, w(j)],
 
-which `enumerate_partial_perms` exposes so tests can cross-check the two.
+which is how both `char_coeffs` and `determinant` compute it: the signs
+of the r! permutations are taken once per r, and each partial permutation
+(with one term chosen from each entry of its product) adds exactly one
+monomial, whose exponents are summed in one dict and sorted once, into a
+single accumulator per r.  `enumerate_partial_perms` with
+`PartialPermutation.a_weight` recomputes the same sum by `Poly`
+multiplication, so tests can cross-check the two.
 Note the global (-1)**r: dropping it already fails for the 2x2 identity
 matrix, where det(I - A) must vanish.
 
@@ -24,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Iterator, Sequence, Union
+from itertools import combinations, permutations, product as iter_product
+from typing import Iterable, Iterator, Sequence, Union
 
 from .polyring import Poly, Scalar, avar, parse_scalar, tvar
 from .words import AlgebraParams, inversions
@@ -153,7 +159,7 @@ def matrix_from_json_obj(obj) -> SymMatrix:
         m = obj["m"]
     except KeyError:
         raise MatrixFormatError("matrix description lacks 'm'") from None
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise MatrixFormatError(f"matrix size {m!r} is not a positive integer")
     mode = obj.get("mode", "numeric")
     if mode == "symbolic":
@@ -183,32 +189,38 @@ def scale_rows_by_t(matrix: SymMatrix) -> SymMatrix:
     return SymMatrix(matrix.m, tuple(rows))
 
 
-def _submatrix_det(matrix: SymMatrix, subset: tuple[int, ...]) -> Poly:
-    r = len(subset)
-    total = Poly.zero()
-    for perm in permutations(range(r)):
-        sign = (-1) ** inversions(perm)
-        product = Poly.one()
-        for s in range(r):
-            product = product * matrix.entries[subset[s]][subset[perm[s]]]
-        total = total + sign * product
-    return total
+def _minor_sum(matrix: SymMatrix, r: int, subsets: Iterable[tuple[int, ...]],
+               scale: int = 1) -> Poly:
+    # scale * the sum of det(M restricted to J) over the r-subsets J, one
+    # monomial per partial permutation and choice of a term in each factor
+    signed_perms = [(perm, scale * (-1) ** inversions(perm)) for perm in permutations(range(r))]
+    entries = matrix.entries
+    acc: dict = {}
+    for subset in subsets:
+        rows = [entries[i] for i in subset]
+        for perm, sign in signed_perms:
+            factors = [rows[s][subset[perm[s]]].terms.items() for s in range(r)]
+            for choice in iter_product(*factors):
+                exps: dict = {}
+                coeff = sign
+                for mono, c in choice:
+                    coeff = coeff * c
+                    for var, exp in mono:
+                        exps[var] = exps.get(var, 0) + exp
+                mono = tuple(sorted(exps.items()))
+                acc[mono] = acc.get(mono, 0) + coeff
+    return Poly(acc)
 
 
 def determinant(matrix: SymMatrix) -> Poly:
     """Determinant by direct permutation expansion."""
-    return _submatrix_det(matrix, tuple(range(matrix.m)))
+    return _minor_sum(matrix, matrix.m, [tuple(range(matrix.m))])
 
 
 def char_coeffs(matrix: SymMatrix) -> list[Poly]:
     """Coefficients [c_0, ..., c_m] of det(lambda*I - M) in falling powers."""
-    coeffs = [Poly.one()]
-    for r in range(1, matrix.m + 1):
-        total = Poly.zero()
-        for subset in combinations(range(matrix.m), r):
-            total = total + _submatrix_det(matrix, subset)
-        coeffs.append((-1) ** r * total)
-    return coeffs
+    return [_minor_sum(matrix, r, combinations(range(matrix.m), r), (-1) ** r)
+            for r in range(matrix.m + 1)]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,14 @@ decreasing windows).  Three independent routes are implemented:
             C(m+r-1, r) in the weak variant.
 
 `f_series` checks the refined, marker-per-letter version of the same
-generating function against a term-by-term enumeration, `egf_check` the
-exponential analogue counting permutations without long descent runs, and
-`n_m_check` contrasts L with the plain m**l obtained when every generator
-product is resummed through the all-ones matrix.
+generating function.  Its lhs comes from a content automaton: the `dp`
+automaton with the letter counts added to the state, so each length yields
+one t-monomial per content class with the number of admissible words of
+that content, and no word is ever built (`enumerate_admissible` serves the
+tests as the word-by-word oracle).  `egf_check` checks the exponential
+analogue counting permutations without long descent runs, and `n_m_check`
+contrasts L with the plain m**l obtained when every generator product is
+resummed through the all-ones matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .polyring import (
     elementary_sym,
     series_inverse,
     tvar,
-    word_t_monomial,
 )
 from .words import (
     STRICT,
@@ -43,7 +46,6 @@ from .words import (
     AlgebraParams,
     Word,
     _check_variant,
-    enumerate_admissible,
     has_decreasing_run,
 )
 
@@ -239,18 +241,46 @@ class FSeriesResult:
         }
 
 
+def _content_counts(params: AlgebraParams, cap: int, variant: str) -> dict:
+    # The dp automaton on states (content, last letter, run length), where
+    # content counts each letter; every length emits t_1^c_1 ... t_m^c_m
+    # with the number of admissible words of that content.  Letters are
+    # 0-based here, and the empty word's last letter -1 continues no run.
+    m, k = params.m, params.k
+    strict = variant == STRICT
+    markers = [tvar(i) for i in range(1, m + 1)]
+    acc: dict = {(): 1}
+    state: dict[tuple, int] = {((0,) * m, -1, 0): 1}
+    for _ in range(cap):
+        nxt: dict[tuple, int] = {}
+        for (content, last, run), count in state.items():
+            for c in range(m):
+                extends = last > c if strict else last >= c
+                run2 = run + 1 if extends else 1
+                if run2 == k:
+                    continue
+                key = (content[:c] + (content[c] + 1,) + content[c + 1:], c, run2)
+                nxt[key] = nxt.get(key, 0) + count
+        state = nxt
+        totals: dict[tuple, int] = {}
+        for (content, _, _), count in state.items():
+            totals[content] = totals.get(content, 0) + count
+        for content, count in totals.items():
+            acc[tuple((markers[c], e) for c, e in enumerate(content) if e)] = count
+    return acc
+
+
 def f_series(params: AlgebraParams, cap: int, variant: str = STRICT) -> FSeriesResult:
     """Compare sum over admissible words of t_{w_1}...t_{w_l} with the
-    inverse of the alternating e- (or h-) sum, up to t-degree cap."""
+    inverse of the alternating e- (or h-) sum, up to t-degree cap.
+
+    The lhs is counted per content class by the run-length automaton, one
+    monomial per class and length; the rhs is `series_inverse` of
+    `f_denominator`, an independent route."""
     _check_variant(variant)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    acc: dict = {}
-    for length in range(cap + 1):
-        for word in enumerate_admissible(params, length, variant):
-            mono = word_t_monomial(word)
-            acc[mono] = acc.get(mono, 0) + 1
-    lhs = TruncatedSeries(Poly(acc), cap)
+    lhs = TruncatedSeries(Poly(_content_counts(params, cap, variant)), cap)
     denominator = f_denominator(params, cap, variant)
     rhs = series_inverse(denominator, cap)
     return FSeriesResult(params, variant, cap, denominator, lhs, rhs,

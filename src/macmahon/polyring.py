@@ -46,8 +46,15 @@ def tvar(i: int) -> VarKey:
     return ("t", i)
 
 
+_VAR_NAMES: dict[VarKey, str] = {}
+
+
 def var_name(var: VarKey) -> str:
-    return "_".join(str(part) for part in var)
+    """Printed name of a variable key, e.g. 'a_1_2' or 't_3' (memoised)."""
+    name = _VAR_NAMES.get(var)
+    if name is None:
+        name = _VAR_NAMES[var] = "_".join(str(part) for part in var)
+    return name
 
 
 def mono_mul(left: Monomial, right: Monomial) -> Monomial:

@@ -26,9 +26,9 @@ from typing import Iterator, Optional, Sequence
 from .words import (
     AlgebraParams,
     Word,
+    _window_starts,
     inversions,
     is_admissible,
-    last_decreasing_run,
     smallest_decreasing_run,
     validate_word,
 )
@@ -110,17 +110,33 @@ def expand_block(word: Sequence[int], params: AlgebraParams) -> list[tuple[Word,
     return _expand_at(w, start, params.k)
 
 
+def _last(starts: Iterator[int]) -> Optional[int]:
+    start = None
+    for start in starts:
+        pass
+    return start
+
+
 def _normal_form_terms(word: Word, params: AlgebraParams, strategy: str = LEFTMOST) -> dict[Word, int]:
     # Worklist bucketed by inversion number.  Every expansion lands strictly
     # below the bucket it came from, so one sweep from the top visits each
     # distinct pending word exactly once with its coefficients combined.
+    # `word` must already be validated.  A replacement only reorders the
+    # strictly decreasing block, which has C(k,2) inversions and no letter
+    # in common with a pair outside it, so its inversion number is
+    # inv(w) - C(k,2) + inv(arr); the arrangements, their signs and their
+    # inversion numbers are computed once per block.
     if strategy == LEFTMOST:
-        find = smallest_decreasing_run
+        def find(w: Word) -> Optional[int]:
+            return next(_window_starts(w, k, True), None)
     elif strategy == RIGHTMOST:
-        find = last_decreasing_run
+        def find(w: Word) -> Optional[int]:
+            return _last(_window_starts(w, k, True))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     k = params.k
+    top = k * (k - 1) // 2
+    blocks: dict[Word, list[tuple[Word, int, int]]] = {}
     buckets: dict[int, dict[Word, int]] = {inversions(word): {word: 1}}
     done: dict[Word, int] = {}
     while buckets:
@@ -128,12 +144,20 @@ def _normal_form_terms(word: Word, params: AlgebraParams, strategy: str = LEFTMO
         for w, c in buckets.pop(level).items():
             if not c:
                 continue
-            start = find(w, params)
+            start = find(w)
             if start is None:
                 done[w] = done.get(w, 0) + c
                 continue
-            for w2, sign in _expand_at(w, start, k):
-                bucket = buckets.setdefault(inversions(w2), {})
+            block = w[start:start + k]
+            arrangements = blocks.get(block)
+            if arrangements is None:
+                arrangements = blocks[block] = [
+                    (arr, sign, inversions(arr)) for arr, sign in _expand_at(block, 0, k)
+                ]
+            prefix, suffix = w[:start], w[start + k:]
+            for arr, sign, inv in arrangements:
+                bucket = buckets.setdefault(level - top + inv, {})
+                w2 = prefix + arr + suffix
                 bucket[w2] = bucket.get(w2, 0) + c * sign
     return {w: c for w, c in done.items() if c}
 

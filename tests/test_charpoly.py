@@ -56,6 +56,43 @@ def test_char_coeffs_match_partial_perm_expansion(m):
         assert coeffs[r] == partial_perm_expansion(matrix, r)
 
 
+def _expansion_cases():
+    t_scaled = scale_rows_by_t(SymMatrix.from_rows(
+        [["0", "1/2", "-3"], ["2", "0", "0"], ["-2/3", "5", "1"]]))
+    multi_term = SymMatrix.from_rows(
+        [[A11 + Fraction(1, 2), A12 - T2], [A21 * T1 + 3, A22 + A11]])
+    return {
+        "t-scaled fractions with zeros": t_scaled,
+        "multi-term entries": multi_term,
+        "multi-term t-scaled": scale_rows_by_t(multi_term),
+        "symbolic 4x4": scale_rows_by_t(SymMatrix.symbolic(4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_expansion_cases()))
+def test_char_coeffs_match_expansion_beyond_symbolic(name):
+    matrix = _expansion_cases()[name]
+    coeffs = char_coeffs(matrix)
+    assert len(coeffs) == matrix.m + 1
+    for r in range(matrix.m + 1):
+        assert coeffs[r] == partial_perm_expansion(matrix, r)
+    assert determinant(matrix) == (-1) ** matrix.m * coeffs[matrix.m]
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_char_coeffs_all_ones_cancel(scaled):
+    # a rank-one matrix has no nonzero minor above size 1
+    matrix = SymMatrix.ones(4)
+    if scaled:
+        matrix = scale_rows_by_t(matrix)
+    coeffs = char_coeffs(matrix)
+    for r in range(5):
+        assert coeffs[r] == partial_perm_expansion(matrix, r)
+    assert all(c.terms == {} for c in coeffs[2:])
+    assert all(coeff != 0 for c in coeffs for coeff in c.terms.values())
+    assert determinant(matrix).terms == {}
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_char_coeffs_sum_to_det_of_identity_minus(m):
     # evaluating the characteristic polynomial at lambda = 1
@@ -180,6 +217,13 @@ def test_matrix_json_errors_name_the_entry():
         matrix_from_json_obj({"m": 2, "entries": [["1", "2.5"], ["3", "4"]]})
     with pytest.raises(MatrixFormatError, match=r"\(1,1\)"):
         matrix_from_json_obj({"m": 1, "entries": [["1/0"]]})
+
+
+def test_matrix_json_rejects_bool_size():
+    # bool is an int subclass; True must not pass for the size 1
+    for flag in (True, False):
+        with pytest.raises(MatrixFormatError, match="not a positive integer"):
+            matrix_from_json_obj({"m": flag, "entries": [["1"]]})
 
 
 def test_scale_rows_by_t():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -112,6 +113,16 @@ def test_matrix_file_errors(tmp_path, capsys):
     assert err.value.code == 2
 
 
+def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
+    # "m": true used to load as a 1x1 matrix, since bool is an int
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"m": True, "mode": "numeric", "entries": [["1"]]}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["charpoly", "--m", "1", "--matrix", str(path)])
+    assert err.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
 def test_count_text(capsys):
     code, out = run_cli(capsys, "count", "--m", "3", "--k", "3", "--len", "6")
     assert code == 0
@@ -212,3 +223,30 @@ def test_module_invocation_bytes_identical():
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout  # nonempty
+
+
+GOLDEN_SHA256 = {
+    ("series", "--m", "3", "--k", "3", "--cap", "6"): (
+        "69d47fc99a682ca95fa71ed206d57210bc1ddd97c46998c1cb397d587280f125",
+        "912534f7077ca65383d61ae08661d5efa21384f8fa33528db6299c2494516d83"),
+    ("series", "--m", "3", "--k", "3", "--cap", "6", "--variant", "weak"): (
+        "e08b7a9654a6fefb81449283c779870e21ce16dec0630fcccb1671e97d81fa9c",
+        "55f18eba116050190542e7c64c4e2e2f6c5aeb86666046308585009d8e714df5"),
+    ("charpoly", "--m", "4", "--matrix", "symbolic"): (
+        "ca73e13bafe5bfac680cccf1dd617f37d3d6dd4af587dcd92e391f84e9034498",
+        "5646f3e3d05103f47e115e3d7e9f8e8fc910394d9723c4a0bd1fbb0d196e8a3c"),
+    ("normal-form", "--m", "4", "--k", "4", "--word", "4,3,2,1,4,3,2,1"): (
+        "7cb07ee9fd1a779480d2415ee11dfcee62d1ae146812d8985daddd0537ddd428",
+        "d2921c6bc47fdf67f794245c431ba4d50b2fc9c5852caf4eb8e7b60525acced1"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=" ".join)
+def test_golden_table_bytes(argv, capsys):
+    # stdout pinned byte for byte, as (json, text) sha256 digests
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_SHA256[argv]

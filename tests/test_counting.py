@@ -2,7 +2,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from macmahon.counting import (
     DP,
@@ -17,8 +17,8 @@ from macmahon.counting import (
     f_series,
     n_m_check,
 )
-from macmahon.polyring import Poly, complete_sym, elementary_sym, tvar
-from macmahon.words import STRICT, WEAK, AlgebraParams
+from macmahon.polyring import Poly, complete_sym, elementary_sym, tvar, word_t_monomial
+from macmahon.words import STRICT, WEAK, AlgebraParams, enumerate_admissible
 
 P33 = AlgebraParams(3, 3)
 
@@ -146,6 +146,28 @@ def test_f_series_counts_match_univariate():
         component = result.lhs.t_component(length)
         total = sum(component.terms.values())
         assert total == count_admissible(P33, 5).values[length]
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2, m), st.integers(0, 6),
+                        st.sampled_from((STRICT, WEAK)))))
+@example((3, 3, 0, STRICT))
+@example((3, 2, 1, STRICT))
+@example((4, 4, 6, STRICT))
+@example((3, 2, 5, WEAK))
+@settings(max_examples=30, deadline=None)
+def test_f_series_lhs_matches_word_enumeration(case):
+    # the content automaton against one t-monomial per admissible word
+    m, k, cap, variant = case
+    params = AlgebraParams(m, k)
+    acc = {}
+    for length in range(cap + 1):
+        for word in enumerate_admissible(params, length, variant):
+            mono = word_t_monomial(word)
+            acc[mono] = acc.get(mono, 0) + 1
+    result = f_series(params, cap, variant)
+    assert result.lhs.poly == Poly(acc)
+    assert result.equal
 
 
 def test_check_symmetry():

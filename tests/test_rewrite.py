@@ -4,6 +4,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macmahon import rewrite
 from macmahon.rewrite import (
     NCombination,
     _normal_form_terms,
@@ -13,7 +14,13 @@ from macmahon.rewrite import (
     path_coefficient_dfs,
     reversion_vector,
 )
-from macmahon.words import AlgebraParams, enumerate_admissible, inversions, is_admissible
+from macmahon.words import (
+    AlgebraParams,
+    _window_starts,
+    enumerate_admissible,
+    inversions,
+    is_admissible,
+)
 
 
 def relation_terms(letters):
@@ -140,6 +147,41 @@ def test_three_routes_agree(m, k, max_len):
             assert nf == vec, (j, nf, vec)
             for i in enumerate_admissible(p, length):
                 assert path_coefficient_dfs(i, j, p) == nf.get(i, 0)
+
+
+def words_with_window(k, max_len):
+    # every word over {1..k} of length <= max_len holding the decreasing
+    # block k..1, the only strictly decreasing k-window when m = k
+    block = tuple(range(k, 0, -1))
+    words = set()
+    for length in range(k, max_len + 1):
+        for start in range(length - k + 1):
+            for rest in product(range(1, k + 1), repeat=length - k):
+                words.add(rest[:start] + block + rest[start:])
+    return sorted(words)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_worklist_matches_reversion_for_larger_k(k, monkeypatch):
+    # the worklist updates inversion numbers as inv(w) - C(k,2) + inv(arr),
+    # which depends on k; check it where C(k,2) is 6 and 10.  A wrong
+    # bucket still gives the right sum but visits some words twice, so
+    # the window searches are counted per word as well.
+    searched = Counter()
+
+    def counting_starts(word, k, strict):
+        searched[word] += 1
+        return _window_starts(word, k, strict)
+
+    monkeypatch.setattr(rewrite, "_window_starts", counting_starts)
+    p = AlgebraParams(k, k)
+    cache = {}
+    for j in words_with_window(k, 7):
+        vec = reversion_vector(j, p, cache)
+        for strategy in ("leftmost", "rightmost"):
+            searched.clear()
+            assert _normal_form_terms(j, p, strategy) == vec, (j, strategy)
+            assert max(searched.values()) == 1, (j, strategy)
 
 
 def test_k2_path_coefficients_are_indicator():
