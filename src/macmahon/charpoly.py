@@ -65,7 +65,7 @@ class SymMatrix:
             for j, value in enumerate(row, start=1):
                 try:
                     new_row.append(_as_poly(value))
-                except (ValueError, TypeError, ZeroDivisionError):
+                except (ValueError, TypeError):
                     raise MatrixFormatError(
                         f"entry ({i},{j}): {value!r} is not an exact rational"
                     ) from None
@@ -131,7 +131,7 @@ def _as_poly(value: Union[Poly, Scalar, str]) -> Poly:
         return value
     if isinstance(value, str):
         return Poly.constant(parse_scalar(value))
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Poly.constant(value)
     raise ValueError(f"unsupported entry {value!r}")
 
@@ -272,6 +272,12 @@ def alpha(r: int, k: int) -> int:
     return r - (r % k)
 
 
+def _second_factor_degrees(k: int, bound: int) -> list[int]:
+    # the degrees r <= bound with r = 0 or 1 mod k, which the second
+    # factor and its counting analogues keep
+    return [r for r in range(bound + 1) if r % k in (0, 1)]
+
+
 def second_factor(matrix: SymMatrix, params: AlgebraParams) -> Poly:
     """The polynomial sum of (-1)**alpha(r) * c_r(TA) over r = 0, 1 mod k.
 
@@ -282,7 +288,6 @@ def second_factor(matrix: SymMatrix, params: AlgebraParams) -> Poly:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     coeffs = char_coeffs(scale_rows_by_t(matrix))
     total = Poly.zero()
-    for r in range(params.m + 1):
-        if r % params.k in (0, 1):
-            total = total + (-1) ** alpha(r, params.k) * coeffs[r]
+    for r in _second_factor_degrees(params.k, params.m):
+        total = total + (-1) ** alpha(r, params.k) * coeffs[r]
     return total

@@ -164,7 +164,6 @@ def _cmd_normal_form(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_charpoly(args, parser: argparse.ArgumentParser) -> int:
     if args.m < 1:
         parser.error("--m must be positive")
-    args.k = args.m  # unused by the computation; keeps _load_matrix generic
     matrix = _load_matrix(args, parser)
     coeffs = char_coeffs(scale_rows_by_t(matrix))
     if args.format == "json":

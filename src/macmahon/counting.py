@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Optional, Sequence, Union
 
-from .charpoly import SymMatrix
+from .charpoly import SymMatrix, _second_factor_degrees
 from .identity import first_factor
 from .polyring import (
     Poly,
@@ -159,16 +159,10 @@ def _univariate_denominator(params: AlgebraParams, length: int, variant: str) ->
     m, k = params.m, params.k
     strict = variant == STRICT
     terms = {(): 1}
-    j = 0
-    while k * j <= length:
-        for eps in (0, 1):
-            r = k * j + eps
-            if r == 0 or r > length:
-                continue
-            count = comb(m, r) if strict else comb(m + r - 1, r)
-            if count:
-                terms[((tvar(1), r),)] = (-1) ** eps * count
-        j += 1
+    for r in _second_factor_degrees(k, length)[1:]:
+        count = comb(m, r) if strict else comb(m + r - 1, r)
+        if count:
+            terms[((tvar(1), r),)] = (-1) ** (r % k) * count
     return Poly(terms)
 
 
@@ -206,15 +200,9 @@ def f_denominator(params: AlgebraParams, cap: int, variant: str = STRICT) -> Pol
     strict = variant == STRICT
     bound = m if strict else cap
     total = Poly.zero()
-    j = 0
-    while k * j <= bound:
-        for eps in (0, 1):
-            r = k * j + eps
-            if r > bound:
-                continue
-            part = elementary_sym(r, m) if strict else complete_sym(r, m)
-            total = total + (-1) ** eps * part
-        j += 1
+    for r in _second_factor_degrees(k, bound):
+        part = elementary_sym(r, m) if strict else complete_sym(r, m)
+        total = total + (-1) ** (r % k) * part
     return total
 
 
@@ -332,16 +320,9 @@ def egf_check(k: int, cap: int) -> EgfReport:
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     terms: dict = {}
-    j = 0
-    while k * j <= cap:
-        for eps in (0, 1):
-            r = k * j + eps
-            if r > cap:
-                continue
-            coeff = Fraction((-1) ** eps, factorial(r))
-            mono = () if r == 0 else ((tvar(1), r),)
-            terms[mono] = terms.get(mono, 0) + coeff
-        j += 1
+    for r in _second_factor_degrees(k, cap):
+        mono = () if r == 0 else ((tvar(1), r),)
+        terms[mono] = Fraction((-1) ** (r % k), factorial(r))
     inverse = series_inverse(Poly(terms), cap)
     series_counts = []
     for n in range(cap + 1):

@@ -20,7 +20,8 @@ The weight c(i, j) a_{i_1 j_1} ... a_{i_l j_l} of each term is carried
 along the path: almost every left-multiplication x_a * w is already
 admissible, and then the term (a,) + w of the child inherits a_aa times
 the weight of w.  Only the prepends whose front k-window is strictly
-decreasing are rewritten, cached and weighed afresh (`_FrontRewriter`).
+decreasing are rewritten and cached, by `rewrite.PrependRewriter` (all
+rewriting lives in `rewrite`), and weighed afresh.
 
 Rewriting preserves the content (multiset of letters) of a word, and all
 words of one content share their t-monomial, so `series()` sums g over
@@ -33,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 from typing import Mapping, Optional, Sequence, Union
 
-from .charpoly import SymMatrix, alpha, enumerate_partial_perms, second_factor
+from .charpoly import SymMatrix, _second_factor_degrees, alpha, enumerate_partial_perms, second_factor
 from .polyring import Poly, TruncatedSeries, mono_mul, tvar, word_t_monomial
-from .rewrite import _expand_at, _normal_form_terms
+from .rewrite import PrependRewriter, _accumulate, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
 Coeff = Union[int, Fraction, Poly]
@@ -52,30 +53,6 @@ def _entry_coeff(entry: Poly) -> Coeff:
     return entry.constant_value() if entry.is_constant() else entry
 
 
-def _strictly_decreasing(seq: Sequence[int]) -> bool:
-    return all(seq[s] > seq[s + 1] for s in range(len(seq) - 1))
-
-
-def _prepend_nf(cache: dict, params: AlgebraParams, j: int, w: Word) -> dict[Word, int]:
-    # normal form of x_j * w for admissible w; only the front k-window of
-    # (j,) + w can be non-admissible, and only those that are get cached
-    word = (j,) + w
-    if len(word) < params.k or not _strictly_decreasing(word[:params.k]):
-        return {word: 1}
-    nf = cache.get(word)
-    if nf is None:
-        nf = cache[word] = _normal_form_terms(word, params)
-    return nf
-
-
-def _accumulate(acc: dict, key, value) -> None:
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
-
-
 def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
     # c * prod_s a_{i_s j_s}, stopping at the first zero entry
     weight = c
@@ -87,59 +64,6 @@ def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
     return weight
 
 
-class _FrontRewriter:
-    """Normal forms of x_a * w for admissible w, memoised on the rewritten words.
-
-    Only the front k-window of (a,) + w can be strictly decreasing; it is
-    when w opens with a strictly decreasing (k-1)-window whose first letter
-    is below a.  Solving the defining relation for that window gives the
-    other arrangements of its letters, each followed by the admissible rest
-    of w, and each arrangement is left-multiplied onto that rest one letter
-    at a time.  Every word rewritten on the way has fewer inversions than
-    (a,) + w, so the recursion ends.
-    """
-
-    def __init__(self, params: AlgebraParams):
-        self.m, self.k = params.m, params.k
-        self.heads = {d: d[0] for d in combinations(range(self.m, 0, -1), self.k - 1)}
-        self.cache: dict[Word, dict[Word, int]] = {}
-        self.blocks: dict[Word, list[tuple[Word, int]]] = {}
-
-    def head(self, w: Word) -> int:
-        """x_a * w needs rewriting exactly when a > head(w)."""
-        return self.heads.get(w[:self.k - 1], self.m)
-
-    def front(self, word: Word) -> dict[Word, int]:
-        """NF(word) for a word (a,) + w with x_a * w needing rewriting."""
-        nf = self.cache.get(word)
-        if nf is None:
-            k = self.k
-            block, rest = word[:k], word[k:]
-            arrangements = self.blocks.get(block)
-            if arrangements is None:
-                arrangements = self.blocks[block] = _expand_at(block, 0, k)
-            nf = {}
-            for arranged, sign in arrangements:
-                vec = {rest: 1}
-                for letter in reversed(arranged):
-                    vec = self.times(letter, vec)
-                for u, c in vec.items():
-                    _accumulate(nf, u, sign * c)
-            self.cache[word] = nf
-        return nf
-
-    def times(self, a: int, vec: dict[Word, int]) -> dict[Word, int]:
-        """x_a times a combination of admissible words."""
-        out: dict[Word, int] = {}
-        for w, c in vec.items():
-            if a > self.head(w):
-                for u, coeff in self.front((a,) + w).items():
-                    _accumulate(out, u, c * coeff)
-            else:
-                _accumulate(out, (a,) + w, c)
-        return out
-
-
 def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
     # each term c * i of NF(j) adds its weight c * prod_s a_{i_s j_s} to g(i).
@@ -147,7 +71,7 @@ def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> di
     # with weight a_aa times its own; only the other terms are rewritten
     # and have their weight multiplied out afresh.
     m = params.m
-    rewriter = _FrontRewriter(params)
+    rewriter = PrependRewriter(params)
     table: dict[Word, Coeff] = {}
 
     def visit(j: Word, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
@@ -253,7 +177,7 @@ def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams)
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     rows = [[_entry_coeff(e) for e in row] for row in matrix.entries]
-    nf_cache: dict = {}
+    nf_cache: dict[Word, dict[Word, int]] = {}
     vec: dict[Word, Coeff] = {(): 1}
     for letter in reversed(w):
         row = rows[letter - 1]
@@ -264,12 +188,12 @@ def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams)
                 if not aij:
                     continue
                 scale = aij * cw
-                for w2, coeff in _prepend_nf(nf_cache, params, j, s).items():
-                    total = nxt.get(w2, 0) + scale * coeff
-                    if total:
-                        nxt[w2] = total
-                    else:
-                        nxt.pop(w2, None)
+                word = (j,) + s
+                nf = nf_cache.get(word)
+                if nf is None:
+                    nf = nf_cache[word] = _normal_form_terms(word, params)
+                for w2, coeff in nf.items():
+                    _accumulate(nxt, w2, scale * coeff)
         vec = nxt
     value = vec.get(w, 0)
     return value if isinstance(value, Poly) else Poly.constant(value)
@@ -374,9 +298,7 @@ def verify_corollary(assignment, params: AlgebraParams, cap: int) -> Verificatio
         first.append(total)
 
     second: dict[int, Coeff] = {}
-    for r in range(m + 1):
-        if r % k not in (0, 1):
-            continue
+    for r in _second_factor_degrees(k, m):
         acc = 0
         for pp in enumerate_partial_perms(m, r):
             weight = 1

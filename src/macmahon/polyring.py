@@ -95,7 +95,10 @@ def parse_scalar(text: str) -> Scalar:
     stripped = text.strip()
     if not _RATIONAL_RE.fullmatch(stripped):
         raise ValueError(f"{text!r} is not an exact rational of the form p or p/q")
-    frac = Fraction(stripped)
+    try:
+        frac = Fraction(stripped)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
     return int(frac) if frac.denominator == 1 else frac
 
 
@@ -225,9 +228,6 @@ class Poly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.terms.get((), 0)
-
-    def max_t_degree(self) -> int:
-        return max((mono_t_degree(mono) for mono in self.terms), default=0)
 
     def t_components(self) -> dict[int, "Poly"]:
         """Split into homogeneous components by total t-degree."""

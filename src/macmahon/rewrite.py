@@ -6,22 +6,34 @@ i_1 < ... < i_k, the relation
     sum over permutations s of {1..k} of  sgn(s) * x_{i_s(1)} ... x_{i_s(k)} = 0.
 
 Solving a relation for its strictly decreasing term expresses that term as
-a signed sum of the other k!-1 arrangements, each of which has strictly
-fewer inversions.  Iterating this until no strictly decreasing k-window
-remains rewrites any word as an integer combination of admissible words;
-`normal_form` does exactly that and terminates because the inversion
-number drops at every step.
+a signed sum of the other k!-1 arrangements (`_arrangements`), each of
+which has strictly fewer inversions.  Iterating this until no strictly
+decreasing k-window remains rewrites any word as an integer combination of
+admissible words, and the result does not depend on the order in which
+windows are rewritten.  This module is the only place that rewrites, with
+two production engines that reduce in different orders:
 
-`path_coefficient` recomputes a single normal-form coefficient by signed
-enumeration of reversion paths (the reverse rewriting relation), which
-gives an independent oracle for the same numbers.
+* `normal_form` (the worklist `_normal_form_terms`) always expands the
+  leftmost decreasing window of the whole word, sweeping pending words
+  from the highest inversion number down.  It serves the `normal-form`
+  command and the per-word oracles of `identity`.
+* `PrependRewriter` computes x_a * w for admissible w, rewriting only the
+  front window and memoising the rewritten words.  Folding it over a word
+  from the right reduces the suffix first; the first-factor sweep of
+  `identity` uses it one letter at a time.
+
+`reversion_vector` and `path_coefficient` recompute normal-form
+coefficients by signed enumeration of reversion paths (the reverse
+rewriting relation), and `path_coefficient_dfs` by literal path
+enumeration; they share no cache with the two engines and serve as
+independent oracles for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from itertools import combinations, permutations
+from typing import Optional, Sequence
 
 from .words import (
     AlgebraParams,
@@ -32,10 +44,6 @@ from .words import (
     smallest_decreasing_run,
     validate_word,
 )
-
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
-
 
 @dataclass(frozen=True)
 class NCombination:
@@ -76,24 +84,27 @@ class NCombination:
         ]
 
 
-def _rearrangements(block: Word) -> Iterator[Word]:
-    # All orderings of the (distinct) block letters except the strictly
-    # decreasing one, in lexicographic order.
-    decreasing = tuple(sorted(block, reverse=True))
+def _arrangements(block: Word) -> list[tuple[Word, int, int]]:
+    # Every ordering of the (distinct) letters of a strictly decreasing
+    # block except the block itself, in lexicographic order, with its sign
+    # and its inversion number.  Solving the defining relation for the
+    # decreasing term gives arrangement arr the coefficient
+    # (-1) ** (C(k,2) + inversions(arr) + 1).
+    k = len(block)
+    base = -((-1) ** (k * (k - 1) // 2))
+    out = []
     for arr in permutations(sorted(block)):
-        if arr != decreasing:
-            yield arr
+        if arr != block:
+            inv = inversions(arr)
+            out.append((arr, base * (-1) ** inv, inv))
+    return out
 
 
 def _expand_at(word: Word, start: int, k: int) -> list[tuple[Word, int]]:
-    block = word[start:start + k]
     prefix, suffix = word[:start], word[start + k:]
-    # Solving the defining relation for the decreasing term gives each
-    # arrangement the coefficient (-1) ** (C(k,2) + inversions(arr) + 1).
-    base = -((-1) ** (k * (k - 1) // 2))
     return [
-        (prefix + arr + suffix, base * (-1) ** inversions(arr))
-        for arr in _rearrangements(block)
+        (prefix + arr + suffix, sign)
+        for arr, sign, _ in _arrangements(word[start:start + k])
     ]
 
 
@@ -110,30 +121,15 @@ def expand_block(word: Sequence[int], params: AlgebraParams) -> list[tuple[Word,
     return _expand_at(w, start, params.k)
 
 
-def _last(starts: Iterator[int]) -> Optional[int]:
-    start = None
-    for start in starts:
-        pass
-    return start
-
-
-def _normal_form_terms(word: Word, params: AlgebraParams, strategy: str = LEFTMOST) -> dict[Word, int]:
-    # Worklist bucketed by inversion number.  Every expansion lands strictly
-    # below the bucket it came from, so one sweep from the top visits each
-    # distinct pending word exactly once with its coefficients combined.
-    # `word` must already be validated.  A replacement only reorders the
-    # strictly decreasing block, which has C(k,2) inversions and no letter
-    # in common with a pair outside it, so its inversion number is
-    # inv(w) - C(k,2) + inv(arr); the arrangements, their signs and their
-    # inversion numbers are computed once per block.
-    if strategy == LEFTMOST:
-        def find(w: Word) -> Optional[int]:
-            return next(_window_starts(w, k, True), None)
-    elif strategy == RIGHTMOST:
-        def find(w: Word) -> Optional[int]:
-            return _last(_window_starts(w, k, True))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+def _normal_form_terms(word: Word, params: AlgebraParams) -> dict[Word, int]:
+    # Worklist bucketed by inversion number, always expanding the leftmost
+    # decreasing window.  Every expansion lands strictly below the bucket
+    # it came from, so one sweep from the top visits each distinct pending
+    # word exactly once with its coefficients combined.  `word` must
+    # already be validated.  A replacement only reorders the strictly
+    # decreasing block, which has C(k,2) inversions and no letter in common
+    # with a pair outside it, so its inversion number is
+    # inv(w) - C(k,2) + inv(arr); the arrangements are tabled per block.
     k = params.k
     top = k * (k - 1) // 2
     blocks: dict[Word, list[tuple[Word, int, int]]] = {}
@@ -144,16 +140,14 @@ def _normal_form_terms(word: Word, params: AlgebraParams, strategy: str = LEFTMO
         for w, c in buckets.pop(level).items():
             if not c:
                 continue
-            start = find(w)
+            start = next(_window_starts(w, k, True), None)
             if start is None:
                 done[w] = done.get(w, 0) + c
                 continue
             block = w[start:start + k]
             arrangements = blocks.get(block)
             if arrangements is None:
-                arrangements = blocks[block] = [
-                    (arr, sign, inversions(arr)) for arr, sign in _expand_at(block, 0, k)
-                ]
+                arrangements = blocks[block] = _arrangements(block)
             prefix, suffix = w[:start], w[start + k:]
             for arr, sign, inv in arrangements:
                 bucket = buckets.setdefault(level - top + inv, {})
@@ -162,15 +156,71 @@ def _normal_form_terms(word: Word, params: AlgebraParams, strategy: str = LEFTMO
     return {w: c for w, c in done.items() if c}
 
 
-def normal_form(word: Sequence[int], params: AlgebraParams, strategy: str = LEFTMOST) -> NCombination:
-    """Rewrite `word` as an integer combination of admissible words.
-
-    `strategy` picks which decreasing k-window each step expands
-    ('leftmost' or 'rightmost'); the result is the same either way, which
-    the test suite exploits as a confluence check.
-    """
+def normal_form(word: Sequence[int], params: AlgebraParams) -> NCombination:
+    """Rewrite `word` as an integer combination of admissible words."""
     w = validate_word(word, params.m)
-    return NCombination(_normal_form_terms(w, params, strategy), params)
+    return NCombination(_normal_form_terms(w, params), params)
+
+
+def _accumulate(acc: dict, key, value) -> None:
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
+class PrependRewriter:
+    """Normal forms of x_a * w for admissible w, memoised on the rewritten words.
+
+    Only the front k-window of (a,) + w can be strictly decreasing; it is
+    when w opens with a strictly decreasing (k-1)-window whose first letter
+    is below a.  Solving the defining relation for that window gives the
+    other arrangements of its letters, each followed by the admissible rest
+    of w, and each arrangement is left-multiplied onto that rest one letter
+    at a time.  Every word rewritten on the way has fewer inversions than
+    (a,) + w, so the recursion ends.
+    """
+
+    def __init__(self, params: AlgebraParams):
+        self.m, self.k = params.m, params.k
+        self.heads = {d: d[0] for d in combinations(range(self.m, 0, -1), self.k - 1)}
+        self.cache: dict[Word, dict[Word, int]] = {}
+        self.blocks: dict[Word, list[tuple[Word, int, int]]] = {}
+
+    def head(self, w: Word) -> int:
+        """x_a * w needs rewriting exactly when a > head(w)."""
+        return self.heads.get(w[:self.k - 1], self.m)
+
+    def front(self, word: Word) -> dict[Word, int]:
+        """NF(word) for a word (a,) + w with x_a * w needing rewriting."""
+        nf = self.cache.get(word)
+        if nf is None:
+            k = self.k
+            block, rest = word[:k], word[k:]
+            arrangements = self.blocks.get(block)
+            if arrangements is None:
+                arrangements = self.blocks[block] = _arrangements(block)
+            nf = {}
+            for arranged, sign, _ in arrangements:
+                vec = {rest: 1}
+                for letter in reversed(arranged):
+                    vec = self.times(letter, vec)
+                for u, c in vec.items():
+                    _accumulate(nf, u, sign * c)
+            self.cache[word] = nf
+        return nf
+
+    def times(self, a: int, vec: dict[Word, int]) -> dict[Word, int]:
+        """x_a times a combination of admissible words."""
+        out: dict[Word, int] = {}
+        for w, c in vec.items():
+            if a > self.head(w):
+                for u, coeff in self.front((a,) + w).items():
+                    _accumulate(out, u, c * coeff)
+            else:
+                _accumulate(out, (a,) + w, c)
+        return out
 
 
 def _reversion_vector(word: Word, params: AlgebraParams, cache: dict) -> dict[Word, int]:

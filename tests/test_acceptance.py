@@ -22,7 +22,7 @@ from macmahon.counting import (
 )
 from macmahon.identity import verify_master
 from macmahon.polyring import Poly, elementary_sym
-from macmahon.rewrite import _normal_form_terms, expand_block, path_coefficient
+from macmahon.rewrite import PrependRewriter, _normal_form_terms, expand_block, path_coefficient
 from macmahon.words import STRICT, WEAK, AlgebraParams, enumerate_admissible, inversions
 
 SEEDS = (11, 22, 33, 44, 55)
@@ -123,12 +123,18 @@ def test_07_path_oracle_equivalence():
     for m, k, l_max in ((3, 2, 5), (3, 3, 5), (4, 3, 4)):
         params = AlgebraParams(m, k)
         cache = {}
+        rewriter = PrependRewriter(params)
         for l in range(l_max + 1):
             admissible = list(enumerate_admissible(params, l))
             for j in product(range(1, m + 1), repeat=l):
-                nf = _normal_form_terms(j, params, "leftmost")
-                if nf != _normal_form_terms(j, params, "rightmost"):
-                    failures.append(("strategy", m, k, j))
+                nf = _normal_form_terms(j, params)
+                # the prepend fold reduces the suffix first, the worklist
+                # the leftmost window of the whole word
+                fold = {(): 1}
+                for a in reversed(j):
+                    fold = rewriter.times(a, fold)
+                if nf != fold:
+                    failures.append(("engines", m, k, j))
                     continue
                 for i in admissible:
                     if path_coefficient(i, j, params, cache) != nf.get(i, 0):

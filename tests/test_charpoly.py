@@ -226,6 +226,13 @@ def test_matrix_json_rejects_bool_size():
             matrix_from_json_obj({"m": flag, "entries": [["1"]]})
 
 
+def test_from_rows_rejects_bool_entries():
+    # bool is an int subclass; True must not be stored as a coefficient
+    for flag in (True, False):
+        with pytest.raises(MatrixFormatError, match=r"\(1,1\)"):
+            SymMatrix.from_rows([[flag, 0], [0, 1]])
+
+
 def test_scale_rows_by_t():
     scaled = scale_rows_by_t(SymMatrix.symbolic(2))
     assert scaled.entry(1, 2) == T1 * A12

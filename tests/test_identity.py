@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from macmahon.charpoly import SymMatrix, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
-    _FrontRewriter,
     _report_from_residuals,
     first_factor,
     g_coefficient,
@@ -15,7 +14,7 @@ from macmahon.identity import (
     verify_master,
 )
 from macmahon.polyring import Poly, TruncatedSeries, avar, tvar, word_t_monomial
-from macmahon.rewrite import _normal_form_terms, reversion_vector
+from macmahon.rewrite import PrependRewriter, _normal_form_terms, reversion_vector
 from macmahon.words import AlgebraParams, enumerate_admissible
 
 P22 = AlgebraParams(2, 2)
@@ -155,11 +154,12 @@ def test_equal_rows_match_g_coefficient():
 ])
 def test_front_rewriter_matches_normal_form(params, length):
     # every prepend x_a * w of an admissible w: rewritten exactly when
-    # a > head(w), and then to the same normal form as the worklist gives
-    rewriter = _FrontRewriter(params)
+    # a > head(w), and then to the normal form the reversion paths give
+    rewriter = PrependRewriter(params)
+    cache = {}
     for word in admissible_up_to(params, length - 1):
         for a in range(1, params.m + 1):
-            expected = _normal_form_terms((a,) + word, params)
+            expected = reversion_vector((a,) + word, params, cache)
             if a > rewriter.head(word):
                 assert rewriter.front((a,) + word) == expected
             else:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from macmahon import rewrite
 from macmahon.rewrite import (
     NCombination,
+    PrependRewriter,
     _normal_form_terms,
     expand_block,
     normal_form,
@@ -27,6 +28,16 @@ def relation_terms(letters):
     # the defining relation on an increasing tuple of letters: arrangement
     # w carries the sign of the permutation, i.e. (-1) ** inversions(w)
     return {w: (-1) ** inversions(w) for w in permutations(letters)}
+
+
+def prepend_fold(word, rewriter):
+    # the normal form by left-multiplying one letter at a time from the
+    # right, so the suffix is reduced first; the worklist instead expands
+    # the leftmost window of the whole word first
+    vec = {(): 1}
+    for a in reversed(word):
+        vec = rewriter.times(a, vec)
+    return vec
 
 
 def test_expand_block_smallest_window():
@@ -166,7 +177,8 @@ def test_worklist_matches_reversion_for_larger_k(k, monkeypatch):
     # the worklist updates inversion numbers as inv(w) - C(k,2) + inv(arr),
     # which depends on k; check it where C(k,2) is 6 and 10.  A wrong
     # bucket still gives the right sum but visits some words twice, so
-    # the window searches are counted per word as well.
+    # the window searches are counted per word as well.  The prepend
+    # fold reduces in another order and must agree too.
     searched = Counter()
 
     def counting_starts(word, k, strict):
@@ -176,12 +188,13 @@ def test_worklist_matches_reversion_for_larger_k(k, monkeypatch):
     monkeypatch.setattr(rewrite, "_window_starts", counting_starts)
     p = AlgebraParams(k, k)
     cache = {}
+    rewriter = PrependRewriter(p)
     for j in words_with_window(k, 7):
         vec = reversion_vector(j, p, cache)
-        for strategy in ("leftmost", "rightmost"):
-            searched.clear()
-            assert _normal_form_terms(j, p, strategy) == vec, (j, strategy)
-            assert max(searched.values()) == 1, (j, strategy)
+        searched.clear()
+        assert _normal_form_terms(j, p) == vec, j
+        assert max(searched.values()) == 1, j
+        assert prepend_fold(j, rewriter) == vec, j
 
 
 def test_k2_path_coefficients_are_indicator():
@@ -215,10 +228,9 @@ def test_normal_form_properties(mkw):
 
 @given(word_cases)
 @settings(max_examples=40)
-def test_normal_form_strategy_confluence(mkw):
+def test_normal_form_confluence(mkw):
+    # the worklist and the prepend fold rewrite in different orders
     m, k, letters = mkw
     word = tuple(letters)
     p = AlgebraParams(m, k)
-    left = normal_form(word, p, strategy="leftmost")
-    right = normal_form(word, p, strategy="rightmost")
-    assert left.terms == right.terms
+    assert normal_form(word, p).terms == prepend_fold(word, PrependRewriter(p))
