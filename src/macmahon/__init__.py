@@ -18,7 +18,6 @@ from .words import (
     has_decreasing_run,
     inversions,
     is_admissible,
-    last_decreasing_run,
     smallest_decreasing_run,
     validate_word,
 )
@@ -67,7 +66,6 @@ from .counting import (
     EgfReport,
     FSeriesResult,
     NmReport,
-    TransferGraph,
     build_transfer_graph,
     check_symmetry,
     count_admissible,
@@ -89,7 +87,6 @@ __all__ = [
     "has_decreasing_run",
     "inversions",
     "is_admissible",
-    "last_decreasing_run",
     "smallest_decreasing_run",
     "validate_word",
     "NCombination",
@@ -128,7 +125,6 @@ __all__ = [
     "EgfReport",
     "FSeriesResult",
     "NmReport",
-    "TransferGraph",
     "build_transfer_graph",
     "check_symmetry",
     "count_admissible",

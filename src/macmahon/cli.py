@@ -62,13 +62,15 @@ def _load_matrix(args, parser: argparse.ArgumentParser) -> SymMatrix:
         parser.error(f"cannot read matrix file {spec}: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"matrix file {spec} is not valid JSON: {exc}")
+    # a symbolic file is a few bytes for any m, so compare the declared size
+    # before building; an invalid size is left to matrix_from_json_obj
+    declared = obj.get("m") if isinstance(obj, dict) else None
+    if type(declared) is int and declared >= 1 and declared != args.m:
+        parser.error(f"matrix file {spec} has m={declared}, expected m={args.m}")
     try:
-        matrix = matrix_from_json_obj(obj)
+        return matrix_from_json_obj(obj)
     except MatrixFormatError as exc:
         parser.error(f"matrix file {spec}: {exc}")
-    if matrix.m != args.m:
-        parser.error(f"matrix file {spec} has m={matrix.m}, expected m={args.m}")
-    return matrix
 
 
 def _parse_word(text: str, parser: argparse.ArgumentParser) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .charpoly import SymMatrix, _second_factor_degrees
 from .identity import first_factor
@@ -42,7 +42,6 @@ from .polyring import (
 )
 from .words import (
     STRICT,
-    WEAK,
     AlgebraParams,
     Word,
     _check_variant,
@@ -74,37 +73,15 @@ class CountTable:
         }
 
 
-@dataclass(frozen=True)
-class TransferGraph:
-    """Adjacency of length-(k-1) windows; a walk of length l - (k-1) is a word of length l."""
-
-    params: AlgebraParams
-    variant: str
-    states: tuple[Word, ...]
-    edges: dict
-
-    def step(self, counts: dict[Word, int]) -> dict[Word, int]:
-        """Walk counts per end state, extended by one edge."""
-        nxt: dict[Word, int] = {}
-        for state, count in counts.items():
-            for target in self.edges[state]:
-                nxt[target] = nxt.get(target, 0) + count
-        return nxt
-
-    def walk_counts(self, steps: int) -> dict[Word, int]:
-        counts = {state: 1 for state in self.states}
-        for _ in range(steps):
-            counts = self.step(counts)
-        return counts
-
-
-def build_transfer_graph(params: AlgebraParams, variant: str = STRICT) -> TransferGraph:
+def build_transfer_graph(params: AlgebraParams, variant: str = STRICT) -> dict[Word, tuple[Word, ...]]:
+    """The adjacency dict {state: successors} of the length-(k-1) windows,
+    states in lexicographic order; a walk of length l - (k-1) spells an
+    admissible word of length l."""
     _check_variant(variant)
     m, k = params.m, params.k
     strict = variant == STRICT
-    states = tuple(iter_product(range(1, m + 1), repeat=k - 1))
     edges = {}
-    for state in states:
+    for state in iter_product(range(1, m + 1), repeat=k - 1):
         if strict:
             decreasing = all(state[s] > state[s + 1] for s in range(k - 2))
         else:
@@ -117,18 +94,16 @@ def build_transfer_graph(params: AlgebraParams, variant: str = STRICT) -> Transf
                 continue
             outs.append(state[1:] + (c,))
         edges[state] = tuple(outs)
-    return TransferGraph(params, variant, states, edges)
+    return edges
 
 
 def _count_dp(params: AlgebraParams, length: int, variant: str) -> list[int]:
+    # states (last letter, run length); the empty word's letter 0 continues no run
     m, k = params.m, params.k
     strict = variant == STRICT
     values = [1]
-    if length == 0:
-        return values
-    state = {(c, 1): 1 for c in range(1, m + 1)}
-    values.append(m)
-    for _ in range(2, length + 1):
+    state = {(0, 0): 1}
+    for _ in range(length):
         nxt: dict[tuple[int, int], int] = {}
         for (last, run), count in state.items():
             for c in range(1, m + 1):
@@ -148,9 +123,13 @@ def _count_transfer(params: AlgebraParams, length: int, variant: str) -> list[in
     values = [m ** l for l in range(min(k - 1, length) + 1)]
     if length >= k:
         graph = build_transfer_graph(params, variant)
-        counts = {state: 1 for state in graph.states}
+        counts = dict.fromkeys(graph, 1)
         for _ in range(k, length + 1):
-            counts = graph.step(counts)
+            nxt: dict[Word, int] = {}
+            for state, count in counts.items():
+                for target in graph[state]:
+                    nxt[target] = nxt.get(target, 0) + count
+            counts = nxt
             values.append(sum(counts.values()))
     return values
 
@@ -301,15 +280,6 @@ class EgfReport:
     series_counts: tuple[int, ...]
     passed: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "cap": self.cap,
-            "brute_counts": [str(v) for v in self.brute_counts],
-            "series_counts": [str(v) for v in self.series_counts],
-            "pass": self.passed,
-        }
-
 
 def egf_check(k: int, cap: int) -> EgfReport:
     """Exponential analogue: n! times the x**n coefficient of
@@ -352,16 +322,6 @@ class NmReport:
     expected: tuple[int, ...]
     admissible_counts: tuple[int, ...]
     passed: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "cap": self.cap,
-            "totals": [str(v) for v in self.totals],
-            "expected": [str(v) for v in self.expected],
-            "admissible_counts": [str(v) for v in self.admissible_counts],
-            "pass": self.passed,
-        }
 
 
 def n_m_check(m: int, cap: int) -> NmReport:

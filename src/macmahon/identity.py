@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .charpoly import SymMatrix, _second_factor_degrees, alpha, enumerate_partial_perms, second_factor
 from .polyring import Poly, TruncatedSeries, mono_mul, tvar, word_t_monomial
@@ -259,23 +259,9 @@ def verify_master(matrix: SymMatrix, params: AlgebraParams, cap: int) -> Verific
     return _report_from_residuals(params, cap, ff.mode, residuals)
 
 
-def _as_scalar_rows(assignment, m: int) -> list[list]:
-    if isinstance(assignment, SymMatrix):
-        if assignment.m != m:
-            raise ValueError(f"matrix size {assignment.m} does not match m={m}")
-        return assignment.scalar_rows()
-    if isinstance(assignment, Mapping):
-        rows = [[0] * m for _ in range(m)]
-        for (i, j), value in assignment.items():
-            if not (1 <= i <= m and 1 <= j <= m):
-                raise ValueError(f"assignment key ({i},{j}) out of range")
-            rows[i - 1][j - 1] = value
-        return rows
-    raise TypeError("assignment must be a numeric SymMatrix or a mapping (i, j) -> rational")
-
-
-def verify_corollary(assignment, params: AlgebraParams, cap: int) -> VerificationReport:
-    """Check the single-marker specialisation t_i = u of the identity.
+def verify_corollary(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:
+    """Check the single-marker specialisation t_i = u of the identity for a
+    numeric `SymMatrix` (a symbolic one raises `ValueError`).
 
     Both brackets are recomputed by routes independent of `first_factor`
     and `char_coeffs`: the degree-l coefficient of the first bracket sums
@@ -283,7 +269,9 @@ def verify_corollary(assignment, params: AlgebraParams, cap: int) -> Verificatio
     is expanded over partial permutations with sign
     (-1) ** (alpha(r) + r + inversions).
     """
-    rows = _as_scalar_rows(assignment, params.m)
+    if matrix.m != params.m:
+        raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
+    rows = matrix.scalar_rows()
     m, k = params.m, params.k
 
     first = [1]

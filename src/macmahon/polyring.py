@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 VarKey = tuple
 Monomial = tuple
@@ -81,10 +81,6 @@ def word_t_monomial(word: Sequence[int]) -> Monomial:
 def _term_key(item: tuple) -> tuple:
     mono = item[0]
     return (mono_t_degree(mono), mono)
-
-
-def format_scalar(value: Scalar) -> str:
-    return str(value)
 
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?\Z")
@@ -242,40 +238,12 @@ class Poly:
     def truncate_t(self, cap: int) -> "Poly":
         return Poly._raw({m: c for m, c in self.terms.items() if mono_t_degree(m) <= cap})
 
-    def subst(self, values: Mapping[VarKey, Union[Scalar, "Poly"]]) -> "Poly":
-        """Substitute scalars or polynomials for some variables."""
-        acc: dict = {}
-        for mono, coeff in self.terms.items():
-            kept = []
-            scalar: Scalar = coeff
-            poly_factor: Optional[Poly] = None
-            for var, exp in mono:
-                if var in values:
-                    value = values[var]
-                    if isinstance(value, Poly):
-                        power = value ** exp
-                        poly_factor = power if poly_factor is None else poly_factor * power
-                    else:
-                        scalar = scalar * value ** exp
-                else:
-                    kept.append((var, exp))
-            term = Poly({tuple(kept): scalar})
-            if poly_factor is not None:
-                term = term * poly_factor
-            for mono2, coeff2 in term.terms.items():
-                total = acc.get(mono2, 0) + coeff2
-                if total:
-                    acc[mono2] = _normalise(total)
-                else:
-                    acc.pop(mono2, None)
-        return Poly._raw(acc)
-
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=_term_key)
 
     def to_json_terms(self) -> list[dict]:
         return [
-            {"coeff": format_scalar(coeff),
+            {"coeff": str(coeff),
              "monomial": {var_name(var): exp for var, exp in mono}}
             for mono, coeff in self.sorted_terms()
         ]
@@ -288,13 +256,13 @@ class Poly:
             negative = coeff < 0
             magnitude = -coeff if negative else coeff
             if not mono:
-                body = format_scalar(magnitude)
+                body = str(magnitude)
             else:
                 mono_text = "*".join(
                     var_name(var) + (f"^{exp}" if exp > 1 else "")
                     for var, exp in mono
                 )
-                body = mono_text if magnitude == 1 else f"{format_scalar(magnitude)}*{mono_text}"
+                body = mono_text if magnitude == 1 else f"{magnitude!s}*{mono_text}"
             if not pieces:
                 pieces.append(("-" if negative else "") + body)
             else:
@@ -360,11 +328,6 @@ class TruncatedSeries:
 
     def t_component(self, degree: int) -> Poly:
         return self.poly.t_component(degree)
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.poly + other.poly, min(self.cap, other.cap))
-        return TruncatedSeries(self.poly + other, self.cap)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):

@@ -109,15 +109,6 @@ def smallest_decreasing_run(word: Sequence[int], params: AlgebraParams) -> Optio
     return next(_window_starts(w, params.k, True), None)
 
 
-def last_decreasing_run(word: Sequence[int], params: AlgebraParams) -> Optional[int]:
-    """0-based start of the rightmost strictly decreasing k-window, or None."""
-    w = validate_word(word, params.m)
-    start = None
-    for s in _window_starts(w, params.k, True):
-        start = s
-    return start
-
-
 def enumerate_admissible(params: AlgebraParams, length: int, variant: str = STRICT) -> Iterator[Word]:
     """Yield all admissible words of the given length in lexicographic order.
 

@@ -123,6 +123,22 @@ def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+def test_matrix_file_size_checked_before_building(tmp_path, capsys, monkeypatch):
+    # a few-byte symbolic file can declare any m; building it before the
+    # comparison with --m would take memory quadratic in m
+    def refuse(obj):
+        raise AssertionError("matrix built before its size was checked")
+
+    monkeypatch.setattr(cli, "matrix_from_json_obj", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 1000000, "mode": "symbolic"}))
+    for argv in (["verify", "--m", "2", "--k", "2", "--cap", "2"], ["charpoly", "--m", "2"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--matrix", str(path)])
+        assert err.value.code == 2
+        assert "has m=1000000, expected m=2" in capsys.readouterr().err
+
+
 def test_count_text(capsys):
     code, out = run_cli(capsys, "count", "--m", "3", "--k", "3", "--len", "6")
     assert code == 0

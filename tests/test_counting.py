@@ -90,16 +90,15 @@ def test_transfer_skips_graph_below_k(monkeypatch):
 
 def test_transfer_graph_structure():
     graph = build_transfer_graph(AlgebraParams(2, 2))
-    assert graph.states == ((1,), (2,))
-    assert graph.edges[(1,)] == ((1,), (2,))
-    assert graph.edges[(2,)] == ((2,),)
+    assert graph == {(1,): ((1,), (2,)), (2,): ((2,),)}
     g33 = build_transfer_graph(P33)
-    assert len(g33.states) == 9
+    # states in lexicographic order
+    assert list(g33) == list(product(range(1, 4), repeat=2))
     # only a strictly decreasing window forbids an extension
-    assert g33.edges[(3, 2)] == ((2, 2), (2, 3))
-    assert g33.edges[(2, 3)] == ((3, 1), (3, 2), (3, 3))
-    assert g33.walk_counts(0) == {s: 1 for s in g33.states}
-    assert sum(g33.walk_counts(1).values()) == 26
+    assert g33[(3, 2)] == ((2, 2), (2, 3))
+    assert g33[(2, 3)] == ((3, 1), (3, 2), (3, 3))
+    # one step from every state: the 26 admissible words of length 3
+    assert sum(len(outs) for outs in g33.values()) == 26
 
 
 def test_count_table_json():
@@ -194,9 +193,6 @@ def test_egf_check():
     assert report.series_counts == (1, 1, 2, 5, 17, 70, 349, 2017)
     assert report.brute_counts == report.series_counts
     assert egf_check(2, 6).series_counts == (1,) * 7
-    obj = report.to_json_obj()
-    assert obj["pass"] is True
-    assert obj["series_counts"][-1] == "2017"
 
 
 def test_n_m_check_small():

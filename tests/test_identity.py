@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macmahon.charpoly import SymMatrix, second_factor
+from macmahon.charpoly import SymMatrix
 from macmahon.identity import (
     FirstFactorSeries,
     _report_from_residuals,
@@ -307,15 +307,13 @@ def test_verify_corollary_matrices():
     assert report.mode == "corollary"
 
 
-def test_verify_corollary_mapping_and_fractions():
-    diag = {(1, 1): Fraction(1, 2), (2, 2): Fraction(1, 3)}
+def test_verify_corollary_fractions_and_errors():
+    diag = SymMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
     assert verify_corollary(diag, P22, 6).passed
-    assert verify_corollary({}, P22, 4).passed
-    with pytest.raises(ValueError):
-        verify_corollary({(0, 1): 1}, P22, 3)
-    with pytest.raises(TypeError):
-        verify_corollary("not a matrix", P22, 3)
-    with pytest.raises(ValueError):
+    assert verify_corollary(SymMatrix.from_rows([[0, 0], [0, 0]]), P22, 4).passed
+    with pytest.raises(ValueError, match="does not match"):
+        verify_corollary(SymMatrix.identity(3), P22, 3)
+    with pytest.raises(ValueError, match="not numeric"):
         verify_corollary(SymMatrix.symbolic(2), P22, 3)
 
 

@@ -74,14 +74,6 @@ def test_word_t_monomial():
     assert mono_t_degree(word_t_monomial((2, 1, 2))) == 3
 
 
-def test_subst():
-    a = Poly.variable(avar(1, 1))
-    p = a * T1 + T2
-    assert p.subst({avar(1, 1): 3}) == 3 * T1 + T2
-    assert p.subst({tvar(1): T2, tvar(2): T1}) == a * T2 + T1
-    assert p.subst({avar(1, 1): Fraction(1, 2), tvar(1): 2, tvar(2): 0}) == 1
-
-
 def test_transposition():
     p = T1 ** 2 * T2 + T3
     q = apply_transposition(p, 1)

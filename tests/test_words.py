@@ -14,7 +14,6 @@ from macmahon.words import (
     has_decreasing_run,
     inversions,
     is_admissible,
-    last_decreasing_run,
     smallest_decreasing_run,
     validate_word,
 )
@@ -92,11 +91,9 @@ def test_run_positions():
     assert smallest_decreasing_run((4, 6, 1, 3, 2), p) is None
     p3 = AlgebraParams(3, 3)
     assert smallest_decreasing_run((3, 2, 1, 3, 2, 1), p3) == 0
-    assert last_decreasing_run((3, 2, 1, 3, 2, 1), p3) == 3
     # overlapping windows inside one long run
     p4 = AlgebraParams(4, 3)
     assert smallest_decreasing_run((4, 3, 2, 1), p4) == 0
-    assert last_decreasing_run((4, 3, 2, 1), p4) == 1
 
 
 def test_enumerate_small_frozen():
