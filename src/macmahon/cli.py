@@ -6,6 +6,18 @@ integer or a rational p/q, and identical invocations produce identical
 bytes.  Exit codes: 0 for success/pass, 1 for a violated identity or a
 method disagreement, 2 for usage errors (including malformed matrix
 files).
+
+JSON output is the text `json.dumps(obj, indent=2, sort_keys=True)`
+writes for the library's object form (`to_json_obj` / `to_json_terms`),
+plus a newline.  With `indent` set, CPython formats in pure Python, which
+on the multi-megabyte `series`, `normal-form` and `charpoly` tables took
+longer than computing them.  So those three documents are written here
+directly, one small writer per term shape (`_poly_json`,
+`_combination_json`), with keys in `sort_keys` order: a monomial's
+variables are sorted by their name string, so "t_10" comes before "t_2".
+Strings go through `json`'s own escaper, scalar fields through
+`json.dumps`, and the small `verify` and `count` documents through
+`json.dumps` whole.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .charpoly import (
@@ -24,7 +37,8 @@ from .charpoly import (
 )
 from .counting import DP, SERIES, TRANSFER, count_admissible, f_series
 from .identity import verify_master
-from .rewrite import normal_form
+from .polyring import Poly, var_name
+from .rewrite import NCombination, normal_form
 from .words import STRICT, WEAK, AlgebraParams
 
 _MATRIX_HELP = "identity | ones | symbolic | random | path to a JSON matrix file"
@@ -89,6 +103,59 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+# Writers of the indented text for one object shape at nesting `level`
+# (the top-level document is level 0, its values level 1).
+
+def _json_list(items: list[str], level: int) -> str:
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+def _json_document(fields: dict[str, str]) -> str:
+    # the top-level object, from the already written text of each value
+    return "{\n" + ",\n".join(
+        f"  {_quote(key)}: {fields[key]}" for key in sorted(fields)) + "\n}"
+
+
+def _poly_json(poly: Poly, level: int) -> str:
+    """`poly.to_json_terms()` as written at `level`."""
+    pad = "\n" + "  " * (level + 1)
+    key_pad = pad + "  "
+    var_sep = "," + key_pad + "  "
+    quoted: dict = {}
+    items = []
+    for mono, coeff in poly.sorted_terms():
+        if mono:
+            entries = []
+            for var, exp in mono:
+                name = quoted.get(var)
+                if name is None:
+                    name = quoted[var] = _quote(var_name(var))
+                entries.append(f"{name}: {exp}")
+            # a name has only letters, digits and "_", all above the closing
+            # quote, so sorting the entries sorts by name string
+            entries.sort()
+            monomial = "{" + key_pad + "  " + var_sep.join(entries) + key_pad + "}"
+        else:
+            monomial = "{}"
+        items.append(f'{{{key_pad}"coeff": {_quote(str(coeff))},'
+                     f'{key_pad}"monomial": {monomial}{pad}}}')
+    return _json_list(items, level)
+
+
+def _combination_json(combination: NCombination, level: int) -> str:
+    """`combination.to_json_obj()` as written at `level`."""
+    pad = "\n" + "  " * (level + 1)
+    key_pad = pad + "  "
+    return _json_list([
+        f'{{{key_pad}"coeff": {_quote(str(coeff))},'
+        f'{key_pad}"word": {_json_list([str(c) for c in word], level + 2)}{pad}}}'
+        for word, coeff in combination.sorted_items()
+    ], level)
+
+
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     params = _algebra_params(args, parser)
     _nonnegative(args.cap, "--cap", parser)
@@ -131,7 +198,16 @@ def _cmd_series(args, parser: argparse.ArgumentParser) -> int:
     _nonnegative(args.cap, "--cap", parser)
     result = f_series(params, args.cap, args.variant)
     if args.format == "json":
-        _emit_json(result.to_json_obj())
+        print(_json_document({
+            "m": json.dumps(params.m),
+            "k": json.dumps(params.k),
+            "variant": json.dumps(result.variant),
+            "cap": json.dumps(result.cap),
+            "denominator": _poly_json(result.denominator, 1),
+            "lhs": _poly_json(result.lhs.poly, 1),
+            "rhs": _poly_json(result.rhs.poly, 1),
+            "equal": json.dumps(result.equal),
+        }))
     else:
         print(f"series m={params.m} k={params.k} variant={args.variant} cap={args.cap}")
         print(f"  denominator: {result.denominator}")
@@ -149,12 +225,12 @@ def _cmd_normal_form(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        _emit_json({
-            "m": params.m,
-            "k": params.k,
-            "word": list(word),
-            "terms": combination.to_json_obj(),
-        })
+        print(_json_document({
+            "m": json.dumps(params.m),
+            "k": json.dumps(params.k),
+            "word": _json_list([str(c) for c in word], 1),
+            "terms": _combination_json(combination, 1),
+        }))
     else:
         print(f"normal-form m={params.m} k={params.k} word={args.word}")
         for term_word, coeff in combination.sorted_items():
@@ -169,7 +245,10 @@ def _cmd_charpoly(args, parser: argparse.ArgumentParser) -> int:
     matrix = _load_matrix(args, parser)
     coeffs = char_coeffs(scale_rows_by_t(matrix))
     if args.format == "json":
-        _emit_json({"m": args.m, "coeffs": [c.to_json_terms() for c in coeffs]})
+        print(_json_document({
+            "m": json.dumps(args.m),
+            "coeffs": _json_list([_poly_json(c, 2) for c in coeffs], 1),
+        }))
     else:
         print(f"charpoly m={args.m} matrix={args.matrix}")
         for r, coeff in enumerate(coeffs):

@@ -68,6 +68,15 @@ class NCombination:
             elif len(word) != length:
                 raise ValueError("mixed word lengths in one combination")
 
+    @classmethod
+    def _raw(cls, terms: dict, params: AlgebraParams) -> "NCombination":
+        # trusted constructor: keys already admissible, nonzero and of one
+        # length, adopted without the check
+        combination = object.__new__(cls)
+        object.__setattr__(combination, "terms", terms)
+        object.__setattr__(combination, "params", params)
+        return combination
+
     def coefficient(self, word: Sequence[int]):
         return self.terms.get(tuple(word), 0)
 
@@ -159,7 +168,9 @@ def _normal_form_terms(word: Word, params: AlgebraParams) -> dict[Word, int]:
 def normal_form(word: Sequence[int], params: AlgebraParams) -> NCombination:
     """Rewrite `word` as an integer combination of admissible words."""
     w = validate_word(word, params.m)
-    return NCombination(_normal_form_terms(w, params), params)
+    # the worklist stores only words with no decreasing window, all of the
+    # length of `word`, and drops zero totals
+    return NCombination._raw(_normal_form_terms(w, params), params)
 
 
 def _accumulate(acc: dict, key, value) -> None:

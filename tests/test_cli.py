@@ -2,12 +2,17 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from macmahon import cli
+from macmahon.charpoly import SymMatrix, char_coeffs, scale_rows_by_t
+from macmahon.counting import f_series
 from macmahon.identity import _report_from_residuals
-from macmahon.polyring import Poly, tvar
+from macmahon.polyring import Poly, avar, tvar
+from macmahon.rewrite import NCombination, normal_form
 from macmahon.words import AlgebraParams
 
 
@@ -266,3 +271,85 @@ def test_golden_table_bytes(argv, capsys):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == GOLDEN_SHA256[argv]
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# indices up to 12, so that "t_10" sorts before "t_2" and "a_1_12" before
+# "a_1_2": name order differs from variable-key order
+_indices = st.integers(1, 12)
+_variables = st.one_of(st.builds(tvar, _indices), st.builds(avar, _indices, _indices))
+_coeffs = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=7)).filter(bool)
+_monomials = st.dictionaries(_variables, st.integers(1, 3), max_size=4).map(
+    lambda exps: tuple(sorted(exps.items())))
+_polys = st.dictionaries(_monomials, _coeffs, max_size=6).map(Poly)
+
+
+@given(st.lists(_polys, max_size=4))
+@example([Poly.zero()])
+@example([Poly.constant(Fraction(-3, 2)), Poly({((tvar(2), 1), (tvar(10), 1)): 1, ((tvar(2), 2),): -1})])
+@settings(max_examples=80)
+def test_poly_writer_matches_dumps(polys):
+    # level 1: a field of the series document; level 2: an entry of the
+    # charpoly "coeffs" list
+    for poly in polys:
+        assert cli._json_document({"lhs": cli._poly_json(poly, 1)}) == dumps(
+            {"lhs": poly.to_json_terms()})
+    assert cli._json_document({
+        "coeffs": cli._json_list([cli._poly_json(poly, 2) for poly in polys], 1),
+        "m": "3",
+    }) == dumps({"coeffs": [poly.to_json_terms() for poly in polys], "m": 3})
+
+
+_combinations = st.integers(2, 4).flatmap(lambda m: st.tuples(
+    st.builds(AlgebraParams, st.just(m), st.integers(2, m)),
+    st.lists(st.integers(1, m), max_size=6),
+    _coeffs))
+
+
+@given(_combinations)
+@example((AlgebraParams(3, 3), [], Fraction(-1, 2)))
+@settings(max_examples=60)
+def test_combination_writer_matches_dumps(case):
+    params, letters, scale = case
+    terms = {w: c * scale for w, c in normal_form(letters, params).terms.items()}
+    for combination in (NCombination(terms, params), NCombination({}, params)):
+        assert cli._json_document({
+            "terms": cli._combination_json(combination, 1),
+            "word": cli._json_list([str(c) for c in letters], 1),
+        }) == dumps({"terms": combination.to_json_obj(), "word": letters})
+
+
+def _series_obj(m, k, cap):
+    return f_series(AlgebraParams(m, k), cap, "strict").to_json_obj()
+
+
+def _normal_form_obj(m, k, word):
+    params = AlgebraParams(m, k)
+    return {"m": m, "k": k, "word": list(word),
+            "terms": normal_form(word, params).to_json_obj()}
+
+
+def _charpoly_obj(matrix):
+    coeffs = char_coeffs(scale_rows_by_t(matrix))
+    return {"m": matrix.m, "coeffs": [c.to_json_terms() for c in coeffs]}
+
+
+JSON_TABLES = {
+    ("series", "--m", "10", "--k", "2", "--cap", "2"): lambda: _series_obj(10, 2, 2),
+    ("series", "--m", "3", "--k", "3", "--cap", "0"): lambda: _series_obj(3, 3, 0),
+    ("normal-form", "--m", "3", "--k", "3", "--word", ""): lambda: _normal_form_obj(3, 3, ()),
+    ("charpoly", "--m", "1"): lambda: _charpoly_obj(SymMatrix.identity(1)),
+    ("charpoly", "--m", "3", "--matrix", "ones"): lambda: _charpoly_obj(SymMatrix.ones(3)),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(JSON_TABLES), ids=" ".join)
+def test_json_tables_equal_object_form(argv, capsys):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == dumps(JSON_TABLES[argv]()) + "\n"
+    if argv[:3] == ("series", "--m", "10"):
+        assert '"t_10"' in out and '"t_2"' in out

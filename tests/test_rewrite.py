@@ -234,3 +234,14 @@ def test_normal_form_confluence(mkw):
     word = tuple(letters)
     p = AlgebraParams(m, k)
     assert normal_form(word, p).terms == prepend_fold(word, PrependRewriter(p))
+
+
+@given(word_cases)
+@settings(max_examples=60)
+def test_normal_form_passes_validation(mkw):
+    # normal_form skips the constructor's check; the worklist's output must
+    # still pass it (admissible, nonzero, one length)
+    m, k, letters = mkw
+    p = AlgebraParams(m, k)
+    combination = normal_form(letters, p)
+    assert NCombination(dict(combination.terms), p) == combination
