@@ -1,25 +1,23 @@
 """Matrices over the polynomial ring and the second factor of the identity.
 
 `char_coeffs` returns the coefficients c_0, ..., c_m of the characteristic
-polynomial det(lambda*I - M) = sum_r c_r * lambda**(m-r), computed from
-principal minors:
-
-    c_r = (-1)**r * sum over r-subsets J of det(M restricted to J).
-
-Expanding the minors over partial permutations gives the equivalent form
+polynomial det(lambda*I - M) = sum_r c_r * lambda**(m-r); c_r is also the
+lambda**r coefficient of det(I - lambda*M).  One walk reads all of them
+off that determinant's permutation expansion, row by row, with the used
+columns in a bitmask.  Row i takes the 1 of I at its own column, or
+-lambda * M[i, c] at any free column c with a nonzero entry, so zero
+entries prune whole subtrees.  Each earlier row sent to a column above c
+adds one inversion, and the minus sign of -lambda folds into the same
+parity.  Each choice of one term per factor adds one monomial to c_r,
+r the number of lambda-factors.  `enumerate_partial_perms` with
+`PartialPermutation.a_weight` recomputes
 
     c_r = (-1)**r * sum over partial permutations w with support size r
-          of sgn(w) * product of M[j, w(j)],
+          of sgn(w) * product of M[j, w(j)]
 
-which is how both `char_coeffs` and `determinant` compute it: the signs
-of the r! permutations are taken once per r, and each partial permutation
-(with one term chosen from each entry of its product) adds exactly one
-monomial, whose exponents are summed in one dict and sorted once, into a
-single accumulator per r.  `enumerate_partial_perms` with
-`PartialPermutation.a_weight` recomputes the same sum by `Poly`
-multiplication, so tests can cross-check the two.
-Note the global (-1)**r: dropping it already fails for the 2x2 identity
-matrix, where det(I - A) must vanish.
+by `Poly` multiplication and shares no code with the walk.  Note the
+global (-1)**r: dropping it already fails for the 2x2 identity matrix,
+where det(I - A) must vanish.
 
 The second factor of the master identity keeps only the c_r(TA) with
 r = 0 or 1 mod k, weighted by (-1)**alpha(r), alpha(r) = r - (r mod k).
@@ -30,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product as iter_product
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, combinations, permutations
+from typing import Iterator, Sequence, Union
 
 from .polyring import Poly, Scalar, avar, parse_scalar, tvar
 from .words import AlgebraParams, inversions
@@ -189,38 +187,40 @@ def scale_rows_by_t(matrix: SymMatrix) -> SymMatrix:
     return SymMatrix(matrix.m, tuple(rows))
 
 
-def _minor_sum(matrix: SymMatrix, r: int, subsets: Iterable[tuple[int, ...]],
-               scale: int = 1) -> Poly:
-    # scale * the sum of det(M restricted to J) over the r-subsets J, one
-    # monomial per partial permutation and choice of a term in each factor
-    signed_perms = [(perm, scale * (-1) ** inversions(perm)) for perm in permutations(range(r))]
-    entries = matrix.entries
-    acc: dict = {}
-    for subset in subsets:
-        rows = [entries[i] for i in subset]
-        for perm, sign in signed_perms:
-            factors = [rows[s][subset[perm[s]]].terms.items() for s in range(r)]
-            for choice in iter_product(*factors):
-                exps: dict = {}
-                coeff = sign
-                for mono, c in choice:
-                    coeff = coeff * c
-                    for var, exp in mono:
-                        exps[var] = exps.get(var, 0) + exp
-                mono = tuple(sorted(exps.items()))
-                acc[mono] = acc.get(mono, 0) + coeff
-    return Poly(acc)
+def char_coeffs(matrix: SymMatrix) -> list[Poly]:
+    """Coefficients [c_0, ..., c_m] of det(lambda*I - M) in falling powers."""
+    m = matrix.m
+    offers = [[(c, tuple(e.terms.items())) for c, e in enumerate(row) if e.terms]
+              for row in matrix.entries]
+    sums: list[dict] = [{} for _ in range(m + 1)]
+
+    def walk(i: int, used: int, coeff, monos: tuple) -> None:
+        if i == m:
+            exps: dict = {}
+            for var, exp in chain.from_iterable(monos):
+                exps[var] = exps.get(var, 0) + exp
+            key = tuple(sorted(exps.items()))
+            acc = sums[len(monos)]
+            acc[key] = acc.get(key, 0) + coeff
+            return
+        if not used >> i & 1:
+            odd = (used >> i + 1).bit_count() & 1
+            walk(i + 1, used | 1 << i, -coeff if odd else coeff, monos)
+        for c, terms in offers[i]:
+            if used >> c & 1:
+                continue
+            # the minus sign of -lambda * M[i, c] folds into the inversion parity
+            signed = coeff if (used >> c + 1).bit_count() & 1 else -coeff
+            for mono, value in terms:
+                walk(i + 1, used | 1 << c, signed * value, monos + (mono,))
+
+    walk(0, 0, 1, ())
+    return [Poly(acc) for acc in sums]
 
 
 def determinant(matrix: SymMatrix) -> Poly:
-    """Determinant by direct permutation expansion."""
-    return _minor_sum(matrix, matrix.m, [tuple(range(matrix.m))])
-
-
-def char_coeffs(matrix: SymMatrix) -> list[Poly]:
-    """Coefficients [c_0, ..., c_m] of det(lambda*I - M) in falling powers."""
-    return [_minor_sum(matrix, r, combinations(range(matrix.m), r), (-1) ** r)
-            for r in range(matrix.m + 1)]
+    """Determinant: (-1)**m times the top coefficient c_m."""
+    return (-1) ** matrix.m * char_coeffs(matrix)[matrix.m]
 
 
 @dataclass(frozen=True)

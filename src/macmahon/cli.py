@@ -74,7 +74,8 @@ def _load_matrix(args, parser: argparse.ArgumentParser) -> SymMatrix:
             obj = json.load(handle)
     except OSError as exc:
         parser.error(f"cannot read matrix file {spec}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are both ValueErrors
         parser.error(f"matrix file {spec} is not valid JSON: {exc}")
     # a symbolic file is a few bytes for any m, so compare the declared size
     # before building; an invalid size is left to matrix_from_json_obj

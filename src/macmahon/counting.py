@@ -264,8 +264,6 @@ def count_perms_no_long_descents(n: int, k: int) -> int:
     """Permutations of {1..n} whose strictly decreasing runs all have length < k."""
     if n < 0 or k < 2:
         raise ValueError("need n >= 0 and k >= 2")
-    if n == 0:
-        return 1
     return sum(
         1 for perm in permutations(range(1, n + 1))
         if not has_decreasing_run(perm, k)

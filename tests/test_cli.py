@@ -117,6 +117,29 @@ def test_matrix_file_errors(tmp_path, capsys):
                   "--matrix", str(tmp_path / "missing.json")])
     assert err.value.code == 2
 
+    # exit 1 means "identity violated", so undecodable bytes and a document
+    # nested too deep for the decoder must also be usage errors
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"m": 2, "entries": [["\xe9"]]}')
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text("[" * 200_000)
+    for path in (not_utf8, too_deep):
+        for argv in (["verify", "--m", "2", "--k", "2", "--cap", "2"],
+                     ["charpoly", "--m", "2"]):
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv + ["--matrix", str(path)])
+            assert err.value.code == 2
+            assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_verify_sparse_m10_finishes(capsys):
+    # finishes only if the second factor skips the zero entries of the
+    # matrix: a dense expansion of the 10x10 case runs for about a minute
+    code, out = run_cli(capsys, "verify", "--m", "10", "--k", "2", "--cap", "1",
+                        "--matrix", "identity")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
 
 def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
     # "m": true used to load as a 1x1 matrix, since bool is an int
