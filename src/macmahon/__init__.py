@@ -57,6 +57,7 @@ from .identity import (
     FirstFactorSeries,
     VerificationReport,
     first_factor,
+    first_factor_totals,
     g_coefficient,
     verify_corollary,
     verify_master,
@@ -118,6 +119,7 @@ __all__ = [
     "FirstFactorSeries",
     "VerificationReport",
     "first_factor",
+    "first_factor_totals",
     "g_coefficient",
     "verify_corollary",
     "verify_master",

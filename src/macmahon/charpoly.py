@@ -6,11 +6,13 @@ lambda**r coefficient of det(I - lambda*M).  One walk reads all of them
 off that determinant's permutation expansion, row by row, with the used
 columns in a bitmask.  Row i takes the 1 of I at its own column, or
 -lambda * M[i, c] at any free column c with a nonzero entry, so zero
-entries prune whole subtrees.  Each earlier row sent to a column above c
-adds one inversion, and the minus sign of -lambda folds into the same
-parity.  Each choice of one term per factor adds one monomial to c_r,
-r the number of lambda-factors.  `enumerate_partial_perms` with
-`PartialPermutation.a_weight` recomputes
+entries prune whole subtrees.  So does a free column that no remaining
+row can fill, because its own row and all its nonzero entries are already
+passed: the walk cuts that subtree before the next row.  Each earlier
+row sent to a column above c adds one inversion, and the minus sign of
+-lambda folds into the same parity.  Each choice of one term per factor
+adds one monomial to c_r, r the number of lambda-factors.
+`enumerate_partial_perms` with `PartialPermutation.a_weight` recomputes
 
     c_r = (-1)**r * sum over partial permutations w with support size r
           of sgn(w) * product of M[j, w(j)]
@@ -192,6 +194,13 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
     m = matrix.m
     offers = [[(c, tuple(e.terms.items())) for c, e in enumerate(row) if e.terms]
               for row in matrix.entries]
+    # column c can be filled up to row last[c]: its own row, or its last
+    # nonzero entry; need[i] holds the columns that no row from i on can fill
+    last = list(range(m))
+    for i, row in enumerate(offers):
+        for c, _ in row:
+            last[c] = max(last[c], i)
+    need = [sum(1 << c for c in range(m) if last[c] < i) for i in range(m)]
     sums: list[dict] = [{} for _ in range(m + 1)]
 
     def walk(i: int, used: int, coeff, monos: tuple) -> None:
@@ -202,6 +211,8 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
             key = tuple(sorted(exps.items()))
             acc = sums[len(monos)]
             acc[key] = acc.get(key, 0) + coeff
+            return
+        if need[i] & ~used:
             return
         if not used >> i & 1:
             odd = (used >> i + 1).bit_count() & 1

@@ -30,7 +30,7 @@ from math import comb, factorial
 from typing import Union
 
 from .charpoly import SymMatrix, _second_factor_degrees
-from .identity import first_factor
+from .identity import first_factor_totals
 from .polyring import (
     Poly,
     TruncatedSeries,
@@ -324,8 +324,10 @@ class NmReport:
 
 def n_m_check(m: int, cap: int) -> NmReport:
     params = AlgebraParams(m, m)
-    table = first_factor(SymMatrix.ones(m), params, cap)
-    totals = tuple(table.degree_totals())
+    by_length = [0] * (cap + 1)
+    for content, total in first_factor_totals(SymMatrix.ones(m), params, cap).items():
+        by_length[sum(content)] += total.constant_value()
+    totals = tuple(by_length)
     expected = tuple(m ** l for l in range(cap + 1))
     admissible = count_admissible(params, cap, STRICT, TRANSFER).values
     return NmReport(m, cap, totals, expected, admissible, totals == expected)

@@ -7,14 +7,24 @@ the series sum over admissible words i of g(i) t_{i_1} ... t_{i_l}.  The
 identity states that this series times the second factor (`charpoly`)
 equals 1.
 
-`first_factor` computes all g(i) up to a length cap in one depth-first
-sweep over all words j of length <= cap.  Expanding the product of the
-y's gives g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where
-c(i, j) is the coefficient of x_i in the normal form NF(j) of
-x_{j_1} ... x_{j_l}.  The sweep gets NF(j) from NF(j_2 ... j_l) by
-left-multiplying each term with x_{j_1}, and scatters each term of NF(j)
-into g(i).  Its cost is the sum over j of |NF(j)|, and only the cap
-normal forms on the current path of the walk are live at any time.
+`first_factor` and `first_factor_totals` share one depth-first sweep over
+all words j of length <= cap.  Expanding the product of the y's gives
+g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where c(i, j) is
+the coefficient of x_i in the normal form NF(j) of x_{j_1} ... x_{j_l}.
+The sweep gets NF(j) from NF(j_2 ... j_l) by left-multiplying each term
+with x_{j_1}, and hands the weight of each term of NF(j) to a sink.  Its
+cost is the sum over j of |NF(j)|, and only the cap normal forms on the
+current path of the walk are live at any time.
+
+Two sinks read the one sweep.  The per-word sink of `first_factor` adds
+each weight to g(i).  `verify_master` reads only the per-content totals
+FF_gamma, the sum of g(i) over the words i of content gamma (the letter
+counts), because all words of one content share their t-monomial.
+Rewriting preserves content, so every term of NF(j) has the content of j;
+the sweep carries that content along its path, and the per-content sink
+of `first_factor_totals` adds each node's total weight to it.  `verify`
+thus never builds the per-word table; `FirstFactorSeries.series()` sums
+that table per content and serves as the cross-check.
 
 The weight c(i, j) a_{i_1 j_1} ... a_{i_l j_l} of each term is carried
 along the path: almost every left-multiplication x_a * w is already
@@ -23,9 +33,12 @@ the weight of w.  Only the prepends whose front k-window is strictly
 decreasing are rewritten and cached, by `rewrite.PrependRewriter` (all
 rewriting lives in `rewrite`), and weighed afresh.
 
-Rewriting preserves the content (multiset of letters) of a word, and all
-words of one content share their t-monomial, so `series()` sums g over
-each content class before attaching the monomial once per class.
+The weight is linear in the coefficient c, so the last level of the
+sweep (len(j) = cap, about (m-1)/m of all nodes) is never built: each
+node of length cap - 1 scatters straight into the sink, once per letter
+a, a_aa times the weight of each kept term and the weighed normal form
+of each rewritten one.  The per-content sink sums the kept weights first,
+so it multiplies by a_aa once per letter.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -64,26 +77,43 @@ def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
     return weight
 
 
-def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
+def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink) -> None:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
-    # each term c * i of NF(j) adds its weight c * prod_s a_{i_s j_s} to g(i).
+    # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
+    # the sink adds to g(i) or to the total of the content of j.
     # A term w whose prepend (a,) + w stays admissible passes to the child
     # with weight a_aa times its own; only the other terms are rewritten
     # and have their weight multiplied out afresh.
+    # The sink gets `node` for each built node j, with the coefficients
+    # and weights of NF(j); `kept_leaves` once per node of length cap - 1,
+    # with its terms (w, c, weight, head), where the leaf (a,) + j keeps
+    # (a,) + w with weight a_aa * weight when a <= head; and `add` for
+    # each weighed term of a rewritten leaf.
     m = params.m
     rewriter = PrependRewriter(params)
-    table: dict[Word, Coeff] = {}
+    diagonals = [rows[a][a] for a in range(m)]
 
-    def visit(j: Word, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
-        for i in coeffs:
-            weight = weights[i]
-            if weight:
-                table[i] = table.get(i, 0) + weight
+    def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        sink.node(content, coeffs, weights)
         if len(j) == cap:
             return
         terms = [(w, c, weights[w], rewriter.head(w)) for w, c in coeffs.items()]
-        for a in range(1, m + 1):
-            diagonal = rows[a - 1][a - 1]
+        children = [(a, (a,) + j, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
+                    for a in range(1, m + 1)]
+        if len(j) + 1 == cap:
+            # the weight is linear in c, so the last level is never built:
+            # kept terms go to the sink scaled by a_aa, and each rewritten
+            # term scatters its weighed normal form
+            sink.kept_leaves(children, diagonals, terms)
+            fronts = [term for term in terms if term[3] < m]
+            for a, child_j, child_content in children:
+                for w, c, _, head in fronts:
+                    if a > head:
+                        for u, coeff in rewriter.front((a,) + w).items():
+                            sink.add(child_content, u, _path_weight(rows, c * coeff, u, child_j))
+            return
+        for a, child_j, child_content in children:
+            diagonal = diagonals[a - 1]
             child: dict[Word, int] = {}
             child_weights: dict[Word, Coeff] = {}
             rewritten: list[Word] = []
@@ -102,14 +132,90 @@ def _sweep_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> di
                     child_weights[word] = diagonal * weight if diagonal and weight else 0
             # child_weights may keep words that cancelled out of child; only
             # the keys of child are ever read
-            child_j = (a,) + j
             for u in rewritten:
                 if u in child:
                     child_weights[u] = _path_weight(rows, child[u], u, child_j)
-            visit(child_j, child, child_weights)
+            visit(child_j, child_content, child, child_weights)
 
-    visit((), {(): 1}, {(): 1})
-    return {i: value for i, value in table.items() if value}
+    visit((), (0,) * m, {(): 1}, {(): 1})
+
+
+class _WordSink:
+    """g(i) for each word i: the per-word table."""
+
+    def __init__(self) -> None:
+        self.table: dict[Word, Coeff] = {}
+
+    def add(self, content: tuple, word: Word, weight: Coeff) -> None:
+        if weight:
+            self.table[word] = self.table.get(word, 0) + weight
+
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        table = self.table
+        for i in coeffs:
+            weight = weights[i]
+            if weight:
+                table[i] = table.get(i, 0) + weight
+
+    def kept_leaves(self, children: list, diagonals: list[Coeff], terms: list) -> None:
+        table = self.table
+        for a, _, _ in children:
+            diagonal = diagonals[a - 1]
+            if not diagonal:
+                continue
+            for w, _, weight, head in terms:
+                if a <= head and weight:
+                    word = (a,) + w
+                    table[word] = table.get(word, 0) + diagonal * weight
+
+
+class _ContentSink:
+    """FF_gamma = sum of g(i) over the words i of content gamma.
+
+    Every term of NF(j) has the content of j, so each node adds its total
+    weight once, keyed by the letter counts of j, and `add` does not read
+    the word."""
+
+    def __init__(self) -> None:
+        self.scalars: dict[tuple, Coeff] = {}
+        # Poly weights merge into one dict per content: adding Polys would
+        # copy the running total at every step
+        self.polys: dict[tuple, dict] = {}
+
+    def add(self, content: tuple, word: Word, weight: Coeff) -> None:
+        if isinstance(weight, Poly):
+            acc = self.polys.get(content)
+            if acc is None:
+                acc = self.polys[content] = {}
+            for mono, coeff in weight.terms.items():
+                acc[mono] = acc.get(mono, 0) + coeff
+        elif weight:
+            self.scalars[content] = self.scalars.get(content, 0) + weight
+
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        self.add(content, (), sum(map(weights.__getitem__, coeffs)))
+
+    def kept_leaves(self, children: list, diagonals: list[Coeff], terms: list) -> None:
+        # x_a * w stays admissible exactly when a <= head(w), so the kept
+        # terms of child a are those with head >= a
+        by_head: list[Coeff] = [0] * len(children)
+        for _, _, weight, head in terms:
+            if weight:
+                by_head[head - 1] = by_head[head - 1] + weight
+        kept: Coeff = 0
+        for a, _, child_content in reversed(children):
+            kept = kept + by_head[a - 1]
+            diagonal = diagonals[a - 1]
+            if diagonal and kept:
+                self.add(child_content, (), diagonal * kept)
+
+    def totals(self) -> dict[tuple, Poly]:
+        out = {}
+        for content in self.scalars.keys() | self.polys.keys():
+            total = Poly(self.polys.get(content)) + self.scalars.get(content, 0)
+            if total:
+                out[content] = total
+        return out
 
 
 @dataclass(frozen=True)
@@ -129,13 +235,6 @@ class FirstFactorSeries:
             raise ValueError(f"word {w!r} is not admissible")
         value = self.coeffs.get(w, 0)
         return value if isinstance(value, Poly) else Poly.constant(value)
-
-    def degree_totals(self) -> list[Coeff]:
-        """Sum of g(i) over admissible words of each length 0..cap."""
-        totals: list[Coeff] = [0] * (self.cap + 1)
-        for w, value in self.coeffs.items():
-            totals[len(w)] = totals[len(w)] + value
-        return totals
 
     def series(self) -> TruncatedSeries:
         """The first factor as a polynomial in the t (and perhaps a) variables."""
@@ -157,16 +256,32 @@ class FirstFactorSeries:
         return TruncatedSeries(Poly(terms), self.cap)
 
 
-def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:
-    """Compute g(i) for every admissible word i with len(i) <= cap."""
+def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> list[list[Coeff]]:
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    rows = [[_entry_coeff(e) for e in row] for row in matrix.entries]
+    return [[_entry_coeff(e) for e in row] for row in matrix.entries]
+
+
+def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:
+    """Compute g(i) for every admissible word i with len(i) <= cap."""
+    sink = _WordSink()
+    _sweep(_sweep_rows(matrix, params, cap), params, cap, sink)
     mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
-    table = _sweep_table(rows, params, cap)
-    return FirstFactorSeries(params=params, cap=cap, mode=mode, coeffs=table)
+    return FirstFactorSeries(params=params, cap=cap, mode=mode,
+                             coeffs={i: value for i, value in sink.table.items() if value})
+
+
+def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> dict[tuple[int, ...], Poly]:
+    """FF_gamma, the sum of g(i) over the admissible words i of content gamma.
+
+    A content is the tuple (c_1, ..., c_m) of letter counts, with
+    c_1 + ... + c_m <= cap; contents whose total is zero are left out.
+    """
+    sink = _ContentSink()
+    _sweep(_sweep_rows(matrix, params, cap), params, cap, sink)
+    return sink.totals()
 
 
 def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams) -> Poly:
@@ -250,13 +365,20 @@ def _report_from_residuals(params: AlgebraParams, cap: int, mode: str,
 
 def verify_master(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:
     """Check first_factor(A) * second_factor(A) = 1 up to t-degree cap."""
-    ff = first_factor(matrix, params, cap)
-    product = ff.series() * second_factor(matrix, params)
+    # words of one content share their t-monomial, so the series attaches
+    # it once to each content total
+    terms: dict = {}
+    for content, total in first_factor_totals(matrix, params, cap).items():
+        tmono = tuple((tvar(i), e) for i, e in enumerate(content, start=1) if e)
+        for mono, coeff in total.terms.items():
+            terms[mono_mul(mono, tmono)] = coeff
+    product = TruncatedSeries(Poly._raw(terms), cap) * second_factor(matrix, params)
     residuals = [
         product.t_component(d) - (1 if d == 0 else 0)
         for d in range(cap + 1)
     ]
-    return _report_from_residuals(params, cap, ff.mode, residuals)
+    mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
+    return _report_from_residuals(params, cap, mode, residuals)
 
 
 def verify_corollary(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:

@@ -166,6 +166,16 @@ def test_char_coeffs_identity_and_diagonal():
     assert coeffs[2] == 6 * T1 * T2
 
 
+def test_char_coeffs_strictly_upper_triangular():
+    # TA is nilpotent, so det(I - lambda*TA) = 1.  No row below row c can
+    # fill column c, so m = 16 finishes only if the walk cuts a partial
+    # assignment as soon as it leaves such a column free (without the cut
+    # it took 1.1 s at m = 12, about 5x more per unit of m)
+    m = 16
+    upper = SymMatrix.from_rows([[1 if j > i else 0 for j in range(m)] for i in range(m)])
+    assert char_coeffs(scale_rows_by_t(upper)) == [1] + [0] * m
+
+
 def test_partial_perm_counts_and_validation():
     for m in range(1, 6):
         for r in range(m + 1):

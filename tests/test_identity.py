@@ -9,6 +9,7 @@ from macmahon.identity import (
     FirstFactorSeries,
     _report_from_residuals,
     first_factor,
+    first_factor_totals,
     g_coefficient,
     verify_corollary,
     verify_master,
@@ -52,13 +53,19 @@ def path_sum_route(matrix, word, params, cache):
 
 
 def test_first_factor_triangular_example():
-    table = first_factor(SymMatrix.from_rows([[1, 1], [0, 1]]), P22, 2)
+    matrix = SymMatrix.from_rows([[1, 1], [0, 1]])
+    table = first_factor(matrix, P22, 2)
     assert table.mode == "numeric"
     assert table.coeffs == {
         (): 1, (1,): 1, (2,): 1, (1, 1): 1, (1, 2): 1, (2, 2): 1,
     }
     assert table.g((1, 2)) == Poly.one()
-    assert table.degree_totals() == [1, 2, 3]
+    totals = first_factor_totals(matrix, P22, 2)
+    assert totals == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 1, (0, 2): 1}
+    by_length = [0, 0, 0]
+    for content, total in totals.items():
+        by_length[sum(content)] += total.constant_value()
+    assert by_length == [1, 2, 3]
 
 
 def test_g_coefficient_symbolic_2x2():
@@ -324,3 +331,56 @@ def test_first_factor_series_type():
         table.g((1, 2, 3, 1))
     with pytest.raises(ValueError):
         table.g((2, 1))
+
+
+def totals_by_content(series, m):
+    # split each monomial of a first-factor series into its t part, read as
+    # a content, and its a part
+    parts = {}
+    for mono, coeff in series.poly.terms.items():
+        content = [0] * m
+        a_part = []
+        for var, exp in mono:
+            if var[0] == "t":
+                content[var[1] - 1] = exp
+            else:
+                a_part.append((var, exp))
+        parts.setdefault(tuple(content), {})[tuple(a_part)] = coeff
+    return {content: Poly(terms) for content, terms in parts.items()}
+
+
+@st.composite
+def sweep_cases(draw):
+    m = draw(st.integers(2, 3))
+    params = AlgebraParams(m, draw(st.integers(2, m)))
+    cap = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return SymMatrix.symbolic(m), params, cap
+    entries = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    return SymMatrix.from_rows(rows), params, cap
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep_cases())
+@example((SymMatrix.from_rows([
+    [0, -2, Fraction(1, 2)], [3, Fraction(-2, 3), 0], [1, -1, 2],
+]), P33, 5))
+@example((SymMatrix.from_rows([[2, 0, -1], [Fraction(1, 3), 0, 1], [-2, 3, 1]]), P32, 5))
+@example((SymMatrix.symbolic(3), P33, 4))
+def test_content_totals_match_per_word_oracles(case):
+    # both sinks of the sweep, the per-content totals and the per-word
+    # table, against the worklist oracle that shares no cache with the sweep
+    matrix, params, cap = case
+    expected = {}
+    g = {}
+    for word in admissible_up_to(params, cap):
+        g[word] = g_coefficient(matrix, word, params)
+        content = tuple(word.count(a) for a in range(1, params.m + 1))
+        expected[content] = expected.get(content, Poly.zero()) + g[word]
+    expected = {content: total for content, total in expected.items() if total}
+    totals = first_factor_totals(matrix, params, cap)
+    assert totals == expected
+    table = first_factor(matrix, params, cap)
+    assert {word: table.g(word) for word in g} == g
+    assert totals_by_content(table.series(), params.m) == totals
