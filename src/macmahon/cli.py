@@ -36,7 +36,7 @@ from .charpoly import (
     scale_rows_by_t,
 )
 from .counting import DP, SERIES, TRANSFER, count_admissible, f_series
-from .identity import verify_master
+from .identity import max_sweep_cap, verify_master
 from .polyring import Poly, var_name
 from .rewrite import NCombination, normal_form
 from .words import STRICT, WEAK, AlgebraParams
@@ -160,6 +160,9 @@ def _combination_json(combination: NCombination, level: int) -> str:
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     params = _algebra_params(args, parser)
     _nonnegative(args.cap, "--cap", parser)
+    if args.cap > max_sweep_cap():
+        # refused before any work: exit 1 would mean "identity violated"
+        parser.error(f"--cap {args.cap} is deeper than the sweep can recurse (at most {max_sweep_cap()})")
     matrix = _load_matrix(args, parser)
     report = verify_master(matrix, params, args.cap)
     if args.format == "json":

@@ -40,18 +40,39 @@ a, a_aa times the weight of each kept term and the weighed normal form
 of each rewritten one.  The per-content sink sums the kept weights first,
 so it multiplies by a_aa once per letter.
 
+Relabelling the generators by a permutation s of {1..m} is an algebra
+automorphism, because the relations (the antisymmetrizers) span a
+GL_m-stable space.  The first factor is the graded trace of the map
+x_i -> sum_j t_i a_ij x_j on the algebra, so it is unchanged by
+conjugating that map with s: FF_gamma(A) = FF_{gamma o s}(A^s), where
+A^s_ij = A_{s(i) s(j)}.  When A is invariant under relabelling, that is
+A^s = rho_s(A) for every s, where rho_s renames each a_pq to
+a_{s(p) s(q)}, the totals of the partitions lambda (c_1 >= ... >= c_m)
+fix all others: if gamma_{s(i)} = lambda_i, then
+FF_gamma = rho_s(FF_lambda).  The generic symbolic matrix is invariant,
+and a numeric matrix is exactly when it is alpha*I + beta*J, where rho_s
+does nothing.  For such matrices `first_factor_totals` sweeps only the
+words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
+size <= cap: every suffix of such a word is such a word too, and the
+words of partition content are among them.  It keeps the totals of the
+partition contents and renames them into the others.  The per-word table
+of `first_factor` always comes from the full sweep.
+
 Everything is exact; no tolerances appear anywhere.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, groupby
 from itertools import product as iter_product
-from typing import Optional, Sequence, Union
+from operator import ge
+from typing import Iterator, Optional, Sequence, Union
 
 from .charpoly import SymMatrix, _second_factor_degrees, alpha, enumerate_partial_perms, second_factor
-from .polyring import Poly, TruncatedSeries, mono_mul, tvar, word_t_monomial
+from .polyring import Poly, TruncatedSeries, avar, mono_mul, rename_vars, tvar, word_t_monomial
 from .rewrite import PrependRewriter, _accumulate, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
@@ -77,7 +98,17 @@ def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
     return weight
 
 
-def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink) -> None:
+def _hull_size(content: tuple) -> int:
+    # the size of the least partition above content: gamma_i = max(c_i, c_{i+1}, ...)
+    size = top = 0
+    for c in reversed(content):
+        top = max(top, c)
+        size += top
+    return size
+
+
+def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink,
+           pruned: bool = False) -> None:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
     # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
     # the sink adds to g(i) or to the total of the content of j.
@@ -89,9 +120,18 @@ def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink) -> No
     # with its terms (w, c, weight, head), where the leaf (a,) + j keeps
     # (a,) + w with weight a_aa * weight when a <= head; and `add` for
     # each weighed term of a rewritten leaf.
+    # When `pruned`, only the words whose partition hull has size <= cap
+    # are built; on the last level these are the words of partition content.
     m = params.m
     rewriter = PrependRewriter(params)
     diagonals = [rows[a][a] for a in range(m)]
+    hull_fits: dict[tuple, bool] = {}
+
+    def fits(content: tuple) -> bool:
+        ok = hull_fits.get(content)
+        if ok is None:
+            ok = hull_fits[content] = _hull_size(content) <= cap
+        return ok
 
     def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
         sink.node(content, coeffs, weights)
@@ -100,6 +140,8 @@ def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink) -> No
         terms = [(w, c, weights[w], rewriter.head(w)) for w, c in coeffs.items()]
         children = [(a, (a,) + j, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
                     for a in range(1, m + 1)]
+        if pruned:
+            children = [child for child in children if fits(child[2])]
         if len(j) + 1 == cap:
             # the weight is linear in c, so the last level is never built:
             # kept terms go to the sink scaled by a_aa, and each rewritten
@@ -197,17 +239,19 @@ class _ContentSink:
 
     def kept_leaves(self, children: list, diagonals: list[Coeff], terms: list) -> None:
         # x_a * w stays admissible exactly when a <= head(w), so the kept
-        # terms of child a are those with head >= a
-        by_head: list[Coeff] = [0] * len(children)
+        # terms of child a are those with head >= a; the suffix sums run
+        # over every head, since a pruned sweep may hand over only some
+        # of the children
+        kept: list[Coeff] = [0] * len(diagonals)
         for _, _, weight, head in terms:
             if weight:
-                by_head[head - 1] = by_head[head - 1] + weight
-        kept: Coeff = 0
-        for a, _, child_content in reversed(children):
-            kept = kept + by_head[a - 1]
+                kept[head - 1] = kept[head - 1] + weight
+        for a in range(len(diagonals) - 1, 0, -1):
+            kept[a - 1] = kept[a - 1] + kept[a]
+        for a, _, child_content in children:
             diagonal = diagonals[a - 1]
-            if diagonal and kept:
-                self.add(child_content, (), diagonal * kept)
+            if diagonal and kept[a - 1]:
+                self.add(child_content, (), diagonal * kept[a - 1])
 
     def totals(self) -> dict[tuple, Poly]:
         out = {}
@@ -216,6 +260,63 @@ class _ContentSink:
             if total:
                 out[content] = total
         return out
+
+
+class _PartitionSink(_ContentSink):
+    """FF_lambda for the partition contents lambda only.
+
+    The pruned sweep builds words of other contents on its way to these;
+    their node totals are dropped.  Its leaves all have partition content."""
+
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        if all(map(ge, content, content[1:])):
+            super().node(content, coeffs, weights)
+
+
+def _relabelling(s: Sequence[int]) -> dict:
+    """rho_s as a variable map: a_pq -> a_{s(p) s(q)}, with s 0-based."""
+    return {avar(p + 1, q + 1): avar(s[p] + 1, s[q] + 1)
+            for p in range(len(s)) for q in range(len(s))}
+
+
+def _relabelling_invariant(matrix: SymMatrix) -> bool:
+    """Whether A_{s(i) s(j)} = rho_s(A_ij) for every permutation s.
+
+    The s for which this holds form a group (rho_s rho_u = rho_{su}), so
+    the transposition (1 2) and the cycle (1 2 ... m), which generate S_m,
+    are enough to check.
+    """
+    m, entries = matrix.m, matrix.entries
+    for s in ((1, 0, *range(2, m)), (*range(1, m), 0)):
+        names = _relabelling(s)
+        for i in range(m):
+            for j in range(m):
+                if rename_vars(entries[i][j], names) != entries[s[i]][s[j]]:
+                    return False
+    return True
+
+
+def _rearrangements(partition: tuple) -> Iterator[tuple[tuple, tuple]]:
+    """Each distinct rearrangement gamma of a partition, once, with an s
+    (0-based) such that gamma_{s(i)} = partition_i."""
+    m = len(partition)
+    blocks = [len(list(run)) for _, run in groupby(partition)]
+
+    def place(free: tuple, blocks: list[int]) -> Iterator[tuple]:
+        # s lists the positions of the largest part first, then the next
+        if not blocks:
+            yield ()
+            return
+        for chosen in combinations(free, blocks[0]):
+            rest = tuple(p for p in free if p not in chosen)
+            for tail in place(rest, blocks[1:]):
+                yield chosen + tail
+
+    for s in place(tuple(range(m)), blocks):
+        gamma = [0] * m
+        for i, p in enumerate(s):
+            gamma[p] = partition[i]
+        yield tuple(gamma), s
 
 
 @dataclass(frozen=True)
@@ -256,11 +357,22 @@ class FirstFactorSeries:
         return TruncatedSeries(Poly(terms), self.cap)
 
 
+def max_sweep_cap() -> int:
+    """The deepest cap the sweep accepts.
+
+    The sweep recurses once per letter, and the rewriter below it up to
+    twice more; with m >= 2 there are more than 2**cap words, so no cap
+    refused here could finish anyway."""
+    return sys.getrecursionlimit() // 4
+
+
 def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> list[list[Coeff]]:
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if cap > max_sweep_cap():
+        raise ValueError(f"cap {cap} is deeper than the sweep can recurse (at most {max_sweep_cap()})")
     return [[_entry_coeff(e) for e in row] for row in matrix.entries]
 
 
@@ -278,10 +390,29 @@ def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> d
 
     A content is the tuple (c_1, ..., c_m) of letter counts, with
     c_1 + ... + c_m <= cap; contents whose total is zero are left out.
+
+    When the matrix is invariant under relabelling the generators (the
+    generic symbolic matrix, or numerically alpha*I + beta*J), only the
+    words whose partition hull has size <= cap are swept, and each total
+    of a non-partition content gamma is the total of its partition lambda
+    with the a_pq renamed: FF_gamma = rho_s(FF_lambda) for any s with
+    gamma_{s(i)} = lambda_i, since relabelling is an automorphism of the
+    algebra (see the module docstring).  Other matrices take the full
+    sweep.
     """
-    sink = _ContentSink()
-    _sweep(_sweep_rows(matrix, params, cap), params, cap, sink)
-    return sink.totals()
+    rows = _sweep_rows(matrix, params, cap)
+    if not _relabelling_invariant(matrix):
+        sink = _ContentSink()
+        _sweep(rows, params, cap, sink)
+        return sink.totals()
+    sink = _PartitionSink()
+    _sweep(rows, params, cap, sink, pruned=True)
+    numeric = matrix.is_numeric()
+    totals = {}
+    for partition, total in sink.totals().items():
+        for content, s in _rearrangements(partition):
+            totals[content] = total if numeric else rename_vars(total, _relabelling(s))
+    return totals
 
 
 def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams) -> Poly:

@@ -273,17 +273,23 @@ class Poly:
         return f"Poly({self})"
 
 
+def rename_vars(poly: Poly, names: Mapping[VarKey, VarKey]) -> Poly:
+    """`poly` with each variable v replaced by names.get(v, v).
+
+    The renaming must be one-to-one, so that no two monomials merge.
+    """
+    return Poly._raw({
+        tuple(sorted((names.get(var, var), exp) for var, exp in mono)): coeff
+        for mono, coeff in poly.terms.items()
+    })
+
+
 def apply_transposition(poly: Poly, i: int) -> Poly:
     """Swap the markers t_i and t_{i+1} everywhere in `poly`."""
     if i < 1:
         raise ValueError("transposition index is 1-based")
     a, b = tvar(i), tvar(i + 1)
-    swap = {a: b, b: a}
-    acc: dict = {}
-    for mono, coeff in poly.terms.items():
-        new_mono = tuple(sorted((swap.get(var, var), exp) for var, exp in mono))
-        acc[new_mono] = acc.get(new_mono, 0) + coeff
-    return Poly(acc)
+    return rename_vars(poly, {a: b, b: a})
 
 
 def elementary_sym(r: int, m: int) -> Poly:

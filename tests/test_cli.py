@@ -141,6 +141,22 @@ def test_verify_sparse_m10_finishes(capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m", "2", "--k", "2", "--cap", "1200"],
+    ["--m", "3", "--k", "3", "--cap", "100000"],
+])
+def test_verify_cap_beyond_the_recursion_exits_2(capsys, argv):
+    # these used to die with a RecursionError traceback and exit 1, which
+    # means "identity violated"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", *argv, "--matrix", "identity"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(
+        f"macmahon: error: --cap {argv[-1]} is deeper than the sweep can recurse")
+
+
 def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
     # "m": true used to load as a 1x1 matrix, since bool is an int
     path = tmp_path / "bool.json"

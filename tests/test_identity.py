@@ -4,10 +4,14 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from macmahon import identity
 from macmahon.charpoly import SymMatrix
 from macmahon.identity import (
     FirstFactorSeries,
+    _relabelling_invariant,
     _report_from_residuals,
+    _sweep,
+    _sweep_rows,
     first_factor,
     first_factor_totals,
     g_coefficient,
@@ -349,25 +353,54 @@ def totals_by_content(series, m):
     return {content: Poly(terms) for content, terms in parts.items()}
 
 
+SCALARS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+def scalar_plus_ones(m, alpha, beta):
+    # alpha*I + beta*J, invariant under relabelling the generators
+    return SymMatrix.from_rows([[alpha * (i == j) + beta for j in range(m)] for i in range(m)])
+
+
+def with_entry(matrix, i, j, value):
+    rows = [list(row) for row in matrix.entries]
+    rows[i][j] = value
+    return SymMatrix.from_rows(rows)
+
+
 @st.composite
 def sweep_cases(draw):
-    m = draw(st.integers(2, 3))
+    # arbitrary entries take the full sweep; the symbolic matrix and
+    # alpha*I + beta*J take the sweep reduced to partition contents
+    family = draw(st.sampled_from(("entries", "symbolic", "scalar")))
+    m = draw(st.integers(2, 3 if family == "entries" else 4))
     params = AlgebraParams(m, draw(st.integers(2, m)))
-    cap = draw(st.integers(0, 5))
-    if draw(st.booleans()):
+    # at m = 4 the oracle takes seconds from cap 5 on, symbolic from cap 4
+    cap = draw(st.integers(0, 5 if m < 4 else 3))
+    if family == "symbolic":
         return SymMatrix.symbolic(m), params, cap
-    entries = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
-    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
+    if family == "scalar":
+        alpha = draw(SCALARS)
+        beta = draw(st.one_of(st.just(0), st.just(alpha), SCALARS))
+        return scalar_plus_ones(m, alpha, beta), params, cap
+    rows = draw(st.lists(st.lists(SCALARS, min_size=m, max_size=m), min_size=m, max_size=m))
     return SymMatrix.from_rows(rows), params, cap
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(sweep_cases())
 @example((SymMatrix.from_rows([
     [0, -2, Fraction(1, 2)], [3, Fraction(-2, 3), 0], [1, -1, 2],
 ]), P33, 5))
 @example((SymMatrix.from_rows([[2, 0, -1], [Fraction(1, 3), 0, 1], [-2, 3, 1]]), P32, 5))
 @example((SymMatrix.symbolic(3), P33, 4))
+@example((SymMatrix.symbolic(4), AlgebraParams(4, 3), 3))
+@example((scalar_plus_ones(4, Fraction(1, 2), Fraction(-2, 3)), AlgebraParams(4, 4), 4))
+@example((SymMatrix.ones(3), P32, 5))
+# the transpose of the symbolic matrix is invariant too
+@example((SymMatrix(3, tuple(zip(*SymMatrix.symbolic(3).entries))), P33, 4))
+# one entry off an invariant matrix: the full sweep
+@example((with_entry(SymMatrix.ones(3), 1, 2, 2), P33, 5))
+@example((with_entry(SymMatrix.symbolic(3), 0, 1, 2), P33, 4))
 def test_content_totals_match_per_word_oracles(case):
     # both sinks of the sweep, the per-content totals and the per-word
     # table, against the worklist oracle that shares no cache with the sweep
@@ -384,3 +417,111 @@ def test_content_totals_match_per_word_oracles(case):
     table = first_factor(matrix, params, cap)
     assert {word: table.g(word) for word in g} == g
     assert totals_by_content(table.series(), params.m) == totals
+
+
+def test_relabelling_invariance():
+    invariant = [
+        SymMatrix.ones(4), SymMatrix.identity(3), SymMatrix.from_rows([[0, 0], [0, 0]]),
+        scalar_plus_ones(3, Fraction(1, 2), Fraction(1, 2)), scalar_plus_ones(5, -2, Fraction(1, 3)),
+        SymMatrix.symbolic(2), SymMatrix.symbolic(4),
+        SymMatrix(3, tuple(zip(*SymMatrix.symbolic(3).entries))),
+    ]
+    for matrix in invariant:
+        assert _relabelling_invariant(matrix)
+    a = Poly.variable(avar(1, 2))
+    not_invariant = [
+        with_entry(SymMatrix.ones(3), 1, 2, 2),
+        with_entry(SymMatrix.ones(4), 3, 3, 0),
+        with_entry(SymMatrix.symbolic(3), 0, 1, 2),
+        # a_12 everywhere: rho_s renames it, so the entries must move with s
+        SymMatrix.from_rows([[a] * 3] * 3),
+        SymMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+        SymMatrix.random(4, seed=1),
+    ]
+    for matrix in not_invariant:
+        assert not _relabelling_invariant(matrix)
+
+
+def test_totals_prune_exactly_for_invariant_matrices(monkeypatch):
+    # a sweep that silently stayed unreduced would pass every oracle test
+    routes = []
+    real_sweep = identity._sweep
+
+    def recording_sweep(rows, params, cap, sink, pruned=False):
+        routes.append(pruned)
+        real_sweep(rows, params, cap, sink, pruned)
+
+    monkeypatch.setattr(identity, "_sweep", recording_sweep)
+    for matrix in (SymMatrix.ones(3), SymMatrix.symbolic(3), SymMatrix.identity(3),
+                   with_entry(SymMatrix.ones(3), 0, 0, 2), SymMatrix.random(3, seed=2)):
+        first_factor_totals(matrix, P33, 3)
+        first_factor(matrix, P33, 3)
+    assert routes == [True, False] * 3 + [False, False] * 2
+
+
+class SweepCounts:
+    """A sink that counts what the sweep builds and ignores the weights."""
+
+    def __init__(self):
+        self.nodes = 0
+        self.leaves = 0
+
+    def node(self, content, coeffs, weights):
+        self.nodes += 1
+
+    def kept_leaves(self, children, diagonals, terms):
+        self.leaves += len(children)
+
+    def add(self, content, word, weight):
+        pass
+
+
+def hull_size(word, m):
+    size = top = 0
+    for a in range(m, 0, -1):
+        top = max(top, word.count(a))
+        size += top
+    return size
+
+
+@pytest.mark.parametrize("m,cap,nodes,leaves", [
+    (4, 8, 8_605, 16_748 - 8_605),
+    (3, 10, 15_020, 29_338 - 15_020),
+    (5, 7, 4_091, 8_012 - 4_091),
+])
+def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
+    # the words j with hull size <= cap, counted by brute force; the last
+    # level (len(j) = cap) is not built but handed to the sink as children
+    within = [0] * (cap + 1)
+    for length in range(cap + 1):
+        for j in product(range(1, m + 1), repeat=length):
+            if hull_size(j, m) <= cap:
+                within[length] += 1
+    assert (sum(within[:cap]), within[cap]) == (nodes, leaves)
+    params = AlgebraParams(m, 2)
+    counts = SweepCounts()
+    _sweep(_sweep_rows(SymMatrix.identity(m), params, cap), params, cap, counts, pruned=True)
+    assert (counts.nodes, counts.leaves) == (nodes, leaves)
+
+
+@pytest.mark.parametrize("matrix", [SymMatrix.ones(3), SymMatrix.symbolic(3)])
+def test_pruned_sweep_sums_exactly_the_partition_contents(matrix):
+    # the pruned sweep also builds words of other contents; their totals
+    # would be right but are rebuilt by renaming, so the sink drops them
+    full = identity._ContentSink()
+    _sweep(_sweep_rows(matrix, P33, 5), P33, 5, full)
+    partitions = identity._PartitionSink()
+    _sweep(_sweep_rows(matrix, P33, 5), P33, 5, partitions, pruned=True)
+    assert partitions.totals() == {
+        content: total for content, total in full.totals().items()
+        if list(content) == sorted(content, reverse=True)
+    }
+
+
+def test_cap_deeper_than_the_sweep_recursion_is_refused():
+    # refused before any work: m >= 2 means more than 2**cap words anyway
+    for cap in (1200, 100000):
+        with pytest.raises(ValueError, match="deeper than the sweep can recurse"):
+            first_factor_totals(SymMatrix.identity(2), P22, cap)
+        with pytest.raises(ValueError, match="deeper than the sweep can recurse"):
+            first_factor(SymMatrix.identity(2), P22, cap)
