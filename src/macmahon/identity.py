@@ -55,8 +55,21 @@ does nothing.  For such matrices `first_factor_totals` sweeps only the
 words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
 size <= cap: every suffix of such a word is such a word too, and the
 words of partition content are among them.  It keeps the totals of the
-partition contents and renames them into the others.  The per-word table
-of `first_factor` always comes from the full sweep.
+partition contents and renames them into the others, by moving each
+digit of their packed monomials (below) to its renamed variable's place.
+The per-word table of `first_factor` always comes from the full sweep.
+
+No `Poly` arithmetic runs in the sweep, its sinks or the product that
+`verify_master` checks.  A numeric entry stays a scalar; every other
+entry becomes a packed weight, a map from monomials packed into one int
+(`polyring.PackedCodec`) to coefficients, so multiplying two monomials
+is one integer addition.  The sinks add up packed weights and decode to
+`Poly` once, at the end.  `verify_master` gives each content total its
+t-monomial by adding the content's t-digits to its keys, multiplies it
+with the packed second factor bucket by bucket of t-degree, counts the
+nonzero terms of each degree's residual, and decodes only the first
+failing degree for the report.  `FirstFactorSeries.series()` and
+`g_coefficient` stay in `Poly` as oracles.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -68,26 +81,98 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from itertools import product as iter_product
-from operator import ge
-from typing import Iterator, Optional, Sequence, Union
+from operator import ge, mul
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .charpoly import SymMatrix, _second_factor_degrees, alpha, enumerate_partial_perms, second_factor
-from .polyring import Poly, TruncatedSeries, avar, mono_mul, rename_vars, tvar, word_t_monomial
+from .polyring import (PackedCodec, Poly, Scalar, TruncatedSeries, avar, mono_mul, mono_t_degree,
+                       rename_vars, tvar, word_t_monomial)
 from .rewrite import PrependRewriter, _accumulate, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
 Coeff = Union[int, Fraction, Poly]
+Weight = Union[int, Fraction, "_Weight"]
 
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
 COROLLARY = "corollary"
 
 
-def _entry_coeff(entry: Poly) -> Coeff:
-    return entry.constant_value() if entry.is_constant() else entry
+class _Weight:
+    """A polynomial weight c * prod a_{i_s j_s} as {packed monomial: coeff}.
+
+    Numeric entries and weights stay plain scalars; every other entry is
+    one of these, so a weight is either, and the sweep and its sinks use
+    the same `*`, `+` and truth tests on both.  Multiplying two monomials
+    adds their keys (`polyring.PackedCodec`); a scalar is the coefficient
+    of the empty monomial, key 0.  A weight of one term, as every weight
+    of the generic symbolic matrix is, keeps it in `key` and `coeff` with
+    `terms` None.  `+` makes a new weight and `+=` adds in place, so a
+    sink's running sum starts as a copy (0 + weight) that the sink owns.
+    """
+
+    __slots__ = ("terms", "key", "coeff")
+
+    def __init__(self, terms: Optional[dict], key: int = 0, coeff: Scalar = 1) -> None:
+        self.terms = terms
+        self.key = key
+        self.coeff = coeff
+
+    def items(self):
+        return ((self.key, self.coeff),) if self.terms is None else self.terms.items()
+
+    def __bool__(self) -> bool:
+        return self.terms is None or bool(self.terms)
+
+    def __mul__(self, other: Weight) -> Weight:
+        if type(other) is not _Weight:
+            if not other:
+                return 0
+            if self.terms is None:
+                return _Weight(None, self.key, self.coeff * other)
+            return _Weight({key: coeff * other for key, coeff in self.terms.items()})
+        if self.terms is None and other.terms is None:
+            return _Weight(None, self.key + other.key, self.coeff * other.coeff)
+        acc: dict = {}
+        for key1, coeff1 in self.items():
+            for key2, coeff2 in other.items():
+                key = key1 + key2
+                total = acc.get(key, 0) + coeff1 * coeff2
+                if total:
+                    acc[key] = total
+                else:
+                    acc.pop(key, None)
+        return _Weight(acc)
+
+    __rmul__ = __mul__
+
+    def __iadd__(self, other: Weight) -> "_Weight":
+        if self.terms is None:
+            self.terms = {self.key: self.coeff}
+        terms = self.terms
+        if type(other) is _Weight:
+            for key, coeff in other.items():
+                terms[key] = terms.get(key, 0) + coeff
+        elif other:
+            terms[0] = terms.get(0, 0) + other
+        return self
+
+    def __add__(self, other: Weight) -> "_Weight":
+        total = _Weight(dict(self.items()))
+        total += other
+        return total
+
+    __radd__ = __add__
 
 
-def _path_weight(rows: list[list[Coeff]], c: int, i: Word, j: Word) -> Coeff:
+def _packed(weight: Weight) -> dict:
+    # {packed monomial: coeff} of a weight, zero terms left out
+    if type(weight) is _Weight:
+        return {key: coeff for key, coeff in weight.items() if coeff}
+    return {0: weight} if weight else {}
+
+
+def _path_weight(rows: list[list[Weight]], c: int, i: Word, j: Word) -> Weight:
     # c * prod_s a_{i_s j_s}, stopping at the first zero entry
     weight = c
     for a, b in zip(i, j):
@@ -107,7 +192,7 @@ def _hull_size(content: tuple) -> int:
     return size
 
 
-def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink,
+def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
            pruned: bool = False) -> None:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
     # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
@@ -133,7 +218,7 @@ def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink,
             ok = hull_fits[content] = _hull_size(content) <= cap
         return ok
 
-    def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+    def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
         sink.node(content, coeffs, weights)
         if len(j) == cap:
             return
@@ -157,7 +242,7 @@ def _sweep(rows: list[list[Coeff]], params: AlgebraParams, cap: int, sink,
         for a, child_j, child_content in children:
             diagonal = diagonals[a - 1]
             child: dict[Word, int] = {}
-            child_weights: dict[Word, Coeff] = {}
+            child_weights: dict[Word, Weight] = {}
             rewritten: list[Word] = []
             for w, c, weight, head in terms:
                 word = (a,) + w
@@ -186,29 +271,26 @@ class _WordSink:
     """g(i) for each word i: the per-word table."""
 
     def __init__(self) -> None:
-        self.table: dict[Word, Coeff] = {}
+        self.table: dict[Word, Weight] = {}
 
-    def add(self, content: tuple, word: Word, weight: Coeff) -> None:
+    def add(self, content: tuple, word: Word, weight: Weight) -> None:
         if weight:
-            self.table[word] = self.table.get(word, 0) + weight
+            total = self.table.get(word, 0)
+            total += weight
+            self.table[word] = total
 
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
-        table = self.table
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
         for i in coeffs:
-            weight = weights[i]
-            if weight:
-                table[i] = table.get(i, 0) + weight
+            self.add(content, i, weights[i])
 
-    def kept_leaves(self, children: list, diagonals: list[Coeff], terms: list) -> None:
-        table = self.table
-        for a, _, _ in children:
+    def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
+        for a, _, child_content in children:
             diagonal = diagonals[a - 1]
             if not diagonal:
                 continue
             for w, _, weight, head in terms:
                 if a <= head and weight:
-                    word = (a,) + w
-                    table[word] = table.get(word, 0) + diagonal * weight
+                    self.add(child_content, (a,) + w, diagonal * weight)
 
 
 class _ContentSink:
@@ -219,46 +301,44 @@ class _ContentSink:
     the word."""
 
     def __init__(self) -> None:
-        self.scalars: dict[tuple, Coeff] = {}
-        # Poly weights merge into one dict per content: adding Polys would
-        # copy the running total at every step
-        self.polys: dict[tuple, dict] = {}
+        self.sums: dict[tuple, Weight] = {}
 
-    def add(self, content: tuple, word: Word, weight: Coeff) -> None:
-        if isinstance(weight, Poly):
-            acc = self.polys.get(content)
-            if acc is None:
-                acc = self.polys[content] = {}
-            for mono, coeff in weight.terms.items():
-                acc[mono] = acc.get(mono, 0) + coeff
-        elif weight:
-            self.scalars[content] = self.scalars.get(content, 0) + weight
+    def add(self, content: tuple, word: Word, weight: Weight) -> None:
+        if weight:
+            total = self.sums.get(content, 0)
+            total += weight
+            self.sums[content] = total
 
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
-        self.add(content, (), sum(map(weights.__getitem__, coeffs)))
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
+        # `+=`, not sum(): sum() adds by `+`, which copies a packed total
+        total = self.sums.get(content, 0)
+        for i in coeffs:
+            total += weights[i]
+        self.sums[content] = total
 
-    def kept_leaves(self, children: list, diagonals: list[Coeff], terms: list) -> None:
+    def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
         # x_a * w stays admissible exactly when a <= head(w), so the kept
         # terms of child a are those with head >= a; the suffix sums run
         # over every head, since a pruned sweep may hand over only some
         # of the children
-        kept: list[Coeff] = [0] * len(diagonals)
+        kept: list[Weight] = [0] * len(diagonals)
         for _, _, weight, head in terms:
             if weight:
-                kept[head - 1] = kept[head - 1] + weight
+                kept[head - 1] += weight
         for a in range(len(diagonals) - 1, 0, -1):
-            kept[a - 1] = kept[a - 1] + kept[a]
+            kept[a - 1] += kept[a]
         for a, _, child_content in children:
             diagonal = diagonals[a - 1]
             if diagonal and kept[a - 1]:
                 self.add(child_content, (), diagonal * kept[a - 1])
 
-    def totals(self) -> dict[tuple, Poly]:
+    def totals(self) -> dict[tuple, dict]:
+        """{content: {packed monomial: coeff}}, zero totals left out."""
         out = {}
-        for content in self.scalars.keys() | self.polys.keys():
-            total = Poly(self.polys.get(content)) + self.scalars.get(content, 0)
-            if total:
-                out[content] = total
+        for content, total in self.sums.items():
+            packed = _packed(total)
+            if packed:
+                out[content] = packed
         return out
 
 
@@ -268,7 +348,7 @@ class _PartitionSink(_ContentSink):
     The pruned sweep builds words of other contents on its way to these;
     their node totals are dropped.  Its leaves all have partition content."""
 
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
         if all(map(ge, content, content[1:])):
             super().node(content, coeffs, weights)
 
@@ -366,23 +446,72 @@ def max_sweep_cap() -> int:
     return sys.getrecursionlimit() // 4
 
 
-def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> list[list[Coeff]]:
+def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> tuple[list[list[Weight]], PackedCodec]:
+    # the entries as sweep weights, and the codec that packs them.  Its
+    # variables are the a_pq of the entries and the markers t_1..t_m.  A
+    # weight of a word of length l is a product of l entries, and a term
+    # of t-degree r of the second factor one of r entries, so with E the
+    # largest exponent in an entry, no exponent formed by the sweep or by
+    # verify's product (l + r <= cap) exceeds max(cap, 1) * E: the base is
+    # one more than that
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if cap > max_sweep_cap():
         raise ValueError(f"cap {cap} is deeper than the sweep can recurse (at most {max_sweep_cap()})")
-    return [[_entry_coeff(e) for e in row] for row in matrix.entries]
+    powers = [(var, exp) for row in matrix.entries for entry in row
+              for mono in entry.terms for var, exp in mono]
+    if any(var[0] == "t" for var, _ in powers):
+        raise ValueError("matrix entries must not involve the markers t_i")
+    top = max((exp for _, exp in powers), default=1)
+    markers = {tvar(i) for i in range(1, params.m + 1)}
+    codec = PackedCodec({var for var, _ in powers} | markers, max(cap, 1) * top + 1)
+
+    def weight(entry: Poly) -> Weight:
+        if entry.is_constant():
+            return entry.constant_value()
+        if len(entry.terms) == 1:
+            (mono, coeff), = entry.terms.items()
+            return _Weight(None, codec.pack(mono), coeff)
+        return _Weight({codec.pack(mono): coeff for mono, coeff in entry.terms.items()})
+
+    return [[weight(e) for e in row] for row in matrix.entries], codec
 
 
 def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:
     """Compute g(i) for every admissible word i with len(i) <= cap."""
+    rows, codec = _sweep_rows(matrix, params, cap)
     sink = _WordSink()
-    _sweep(_sweep_rows(matrix, params, cap), params, cap, sink)
+    _sweep(rows, params, cap, sink)
+    coeffs = {}
+    for i, total in sink.table.items():
+        if type(total) is _Weight:
+            total = codec.decode(_packed(total))
+        if total:
+            coeffs[i] = total
     mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
-    return FirstFactorSeries(params=params, cap=cap, mode=mode,
-                             coeffs={i: value for i, value in sink.table.items() if value})
+    return FirstFactorSeries(params=params, cap=cap, mode=mode, coeffs=coeffs)
+
+
+def _packed_totals(matrix: SymMatrix, params: AlgebraParams,
+                   cap: int) -> tuple[dict[tuple, dict], PackedCodec]:
+    # FF_gamma as {content: {packed monomial: coeff}}, with the codec
+    rows, codec = _sweep_rows(matrix, params, cap)
+    if not _relabelling_invariant(matrix):
+        sink = _ContentSink()
+        _sweep(rows, params, cap, sink)
+        return sink.totals(), codec
+    sink = _PartitionSink()
+    _sweep(rows, params, cap, sink, pruned=True)
+    totals = {}
+    names: dict[tuple, dict] = {}  # rho_s for each s met, shared by many partitions
+    for partition, total in sink.totals().items():
+        for content, s in _rearrangements(partition):
+            if s not in names:
+                names[s] = _relabelling(s)
+            totals[content] = codec.rename(total, names[s])
+    return totals, codec
 
 
 def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> dict[tuple[int, ...], Poly]:
@@ -400,19 +529,8 @@ def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> d
     algebra (see the module docstring).  Other matrices take the full
     sweep.
     """
-    rows = _sweep_rows(matrix, params, cap)
-    if not _relabelling_invariant(matrix):
-        sink = _ContentSink()
-        _sweep(rows, params, cap, sink)
-        return sink.totals()
-    sink = _PartitionSink()
-    _sweep(rows, params, cap, sink, pruned=True)
-    numeric = matrix.is_numeric()
-    totals = {}
-    for partition, total in sink.totals().items():
-        for content, s in _rearrangements(partition):
-            totals[content] = total if numeric else rename_vars(total, _relabelling(s))
-    return totals
+    totals, codec = _packed_totals(matrix, params, cap)
+    return {content: codec.decode(total) for content, total in totals.items()}
 
 
 def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams) -> Poly:
@@ -422,7 +540,7 @@ def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams)
         raise ValueError(f"word {w!r} is not admissible")
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
-    rows = [[_entry_coeff(e) for e in row] for row in matrix.entries]
+    rows = [[e.constant_value() if e.is_constant() else e for e in row] for row in matrix.entries]
     nf_cache: dict[Word, dict[Word, int]] = {}
     vec: dict[Word, Coeff] = {(): 1}
     for letter in reversed(w):
@@ -477,39 +595,53 @@ class VerificationReport:
         }
 
 
-def _report_from_residuals(params: AlgebraParams, cap: int, mode: str,
-                           residuals: Sequence[Poly]) -> VerificationReport:
-    checks = []
-    first_failure = None
-    for degree, residual in enumerate(residuals):
-        ok = not residual
-        checks.append(DegreeCheck(degree, ok, len(residual.terms)))
-        if not ok and first_failure is None:
-            first_failure = {"degree": degree, "residual": residual.to_json_terms()}
+def _report(params: AlgebraParams, cap: int, mode: str, counts: Sequence[int],
+            residual: Callable[[int], Poly]) -> VerificationReport:
+    # counts[d] is the number of terms of the degree-d residual; residual(d)
+    # gives it as a Poly, and is read for the first failing degree only
+    failing = next((d for d, n in enumerate(counts) if n), None)
     return VerificationReport(
         params=params, cap=cap, mode=mode,
-        passed=first_failure is None,
-        per_degree=tuple(checks),
-        first_failure=first_failure,
+        passed=failing is None,
+        per_degree=tuple(DegreeCheck(d, not n, n) for d, n in enumerate(counts)),
+        first_failure=None if failing is None else {
+            "degree": failing, "residual": residual(failing).to_json_terms()},
     )
+
+
+def _report_from_residuals(params: AlgebraParams, cap: int, mode: str,
+                           residuals: Sequence[Poly]) -> VerificationReport:
+    return _report(params, cap, mode, [len(r.terms) for r in residuals], residuals.__getitem__)
 
 
 def verify_master(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:
     """Check first_factor(A) * second_factor(A) = 1 up to t-degree cap."""
-    # words of one content share their t-monomial, so the series attaches
-    # it once to each content total
-    terms: dict = {}
-    for content, total in first_factor_totals(matrix, params, cap).items():
-        tmono = tuple((tvar(i), e) for i, e in enumerate(content, start=1) if e)
-        for mono, coeff in total.terms.items():
-            terms[mono_mul(mono, tmono)] = coeff
-    product = TruncatedSeries(Poly._raw(terms), cap) * second_factor(matrix, params)
-    residuals = [
-        product.t_component(d) - (1 if d == 0 else 0)
-        for d in range(cap + 1)
-    ]
+    totals, codec = _packed_totals(matrix, params, cap)
+    # the second factor packed once and bucketed by t-degree: a content of
+    # size l meets only the buckets of degree <= cap - l
+    buckets: list[list] = [[] for _ in range(cap + 1)]
+    for mono, coeff in second_factor(matrix, params).terms.items():
+        degree = mono_t_degree(mono)
+        if degree <= cap:
+            buckets[degree].append((codec.pack(mono), coeff))
+    t_places = [codec.places[tvar(i)] for i in range(1, params.m + 1)]
+    # residuals[d]: the degree-d part of the product minus that of 1;
+    # words of one content share their t-monomial, which each content's
+    # total gets as its t-digits
+    residuals: list[dict] = [{0: -1}] + [{} for _ in range(cap)]
+    for content, total in totals.items():
+        size = sum(content)
+        shift = sum(map(mul, content, t_places))
+        left = [(key + shift, coeff) for key, coeff in total.items()]
+        for degree, bucket in enumerate(buckets[:cap - size + 1]):
+            acc = residuals[size + degree]
+            for key2, coeff2 in bucket:
+                for key1, coeff1 in left:
+                    key = key1 + key2
+                    acc[key] = acc.get(key, 0) + coeff1 * coeff2
+    counts = [sum(1 for coeff in acc.values() if coeff) for acc in residuals]
     mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
-    return _report_from_residuals(params, cap, mode, residuals)
+    return _report(params, cap, mode, counts, lambda d: codec.decode(residuals[d]))
 
 
 def verify_corollary(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:

@@ -14,6 +14,14 @@ exactly 1.
 
 The canonical term order used for printing and serialisation is graded
 lexicographic on (t-degree, monomial).
+
+`PackedCodec` packs a monomial over a fixed variable list into one int,
+one base-b digit per exponent, so that multiplying monomials is adding
+ints (packed exponent vectors: M. Monagan and R. Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  A digit that reaches b carries into the next variable, so
+the base must exceed every exponent of every product formed; the codec
+cannot see the products, so its caller picks b from a bound on them.
 """
 
 from __future__ import annotations
@@ -282,6 +290,67 @@ def rename_vars(poly: Poly, names: Mapping[VarKey, VarKey]) -> Poly:
         tuple(sorted((names.get(var, var), exp) for var, exp in mono)): coeff
         for mono, coeff in poly.terms.items()
     })
+
+
+class PackedCodec:
+    """Monomials over a fixed variable list, each packed into one int.
+
+    The exponent of the i-th variable (in sorted order) is the i-th digit
+    of the key in base `base`, so the product of two monomials is the sum
+    of their keys, as long as no exponent of the product reaches `base`;
+    a larger one would carry into the next variable's digit.  The caller
+    chooses the base above every exponent its products can reach.
+    """
+
+    __slots__ = ("variables", "base", "places")
+
+    def __init__(self, variables, base: int):
+        self.variables = tuple(sorted(variables))
+        self.base = base
+        self.places = {var: base ** i for i, var in enumerate(self.variables)}
+
+    def pack(self, mono: Monomial) -> int:
+        key = 0
+        for var, exp in mono:
+            if exp >= self.base:
+                raise ValueError(f"exponent {exp} of {var_name(var)} does not fit base {self.base}")
+            key += exp * self.places[var]
+        return key
+
+    def unpack(self, key: int) -> Monomial:
+        # the digits come out in variable order, so the monomial is sorted
+        mono = []
+        for var in self.variables:
+            if not key:
+                break
+            key, exp = divmod(key, self.base)
+            if exp:
+                mono.append((var, exp))
+        if key:
+            raise ValueError("packed key has more digits than variables")
+        return tuple(mono)
+
+    def decode(self, terms: Mapping[int, Scalar]) -> Poly:
+        """The `Poly` of {packed monomial: coeff}."""
+        return Poly({self.unpack(key): coeff for key, coeff in terms.items()})
+
+    def rename(self, terms: Mapping[int, Scalar], names: Mapping[VarKey, VarKey]) -> dict:
+        """{packed monomial: coeff} with each variable v replaced by
+        names.get(v, v): every digit moves to its new variable's place.
+
+        The renaming must be one-to-one on the variable list."""
+        places = [self.places[names.get(var, var)] for var in self.variables]
+        base = self.base
+        out = {}
+        for key, coeff in terms.items():
+            renamed = 0
+            for place in places:
+                if not key:
+                    break
+                key, exp = divmod(key, base)
+                renamed += exp * place
+            out[renamed] = coeff
+        return out
 
 
 def apply_transposition(poly: Poly, i: int) -> Poly:

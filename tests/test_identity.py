@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macmahon import identity
-from macmahon.charpoly import SymMatrix
+from macmahon import cli, identity
+from macmahon.charpoly import SymMatrix, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
     _relabelling_invariant,
@@ -309,6 +309,50 @@ def test_failure_reporting_plumbing():
     }
 
 
+def poly_route_report(matrix, params, cap, sf):
+    # the report from the per-word table's series times sf, all in Poly
+    product = first_factor(matrix, params, cap).series() * sf
+    residuals = [product.t_component(d) - (1 if d == 0 else 0) for d in range(cap + 1)]
+    mode = "numeric" if matrix.is_numeric() else "symbolic"
+    return _report_from_residuals(params, cap, mode, residuals)
+
+
+A12, T1, T2 = Poly.variable(avar(1, 2)), Poly.variable(tvar(1)), Poly.variable(tvar(2))
+
+
+@pytest.mark.parametrize("argv,matrix,params,cap,stray", [
+    (["--matrix", "random", "--seed", "4"], SymMatrix.random(3, seed=4), P33, 4,
+     Fraction(1, 2) * T1 * T2),
+    (["--matrix", "symbolic"], SymMatrix.symbolic(3), P32, 4, -3 * A12 * T2),
+])
+def test_failing_verify_matches_the_poly_route(monkeypatch, capsys, argv, matrix, params, cap, stray):
+    # a second factor off by one stray term: the packed product must report
+    # the same per-degree counts and first residual as the Poly product
+    sf = second_factor(matrix, params) + stray
+    monkeypatch.setattr(identity, "second_factor", lambda *args: sf)
+    expected = poly_route_report(matrix, params, cap, sf)
+    assert not expected.passed
+    assert verify_master(matrix, params, cap).to_json_obj() == expected.to_json_obj()
+    base = ["verify", "--m", str(params.m), "--k", str(params.k), "--cap", str(cap), *argv]
+    for fmt in ("text", "json"):
+        assert cli.main(base + ["--format", fmt]) == 1
+        packed = capsys.readouterr().out
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "verify_master", lambda *args: expected)
+            assert cli.main(base + ["--format", fmt]) == 1
+        assert packed == capsys.readouterr().out
+
+
+def test_entries_with_markers_are_refused():
+    # verify grades by t-degree, and the sweep packs the content's t-digits
+    # into the same keys as the entries
+    matrix = SymMatrix.from_rows([[T1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="markers"):
+        first_factor_totals(matrix, P22, 2)
+    with pytest.raises(ValueError, match="markers"):
+        verify_master(matrix, P22, 2)
+
+
 def test_verify_corollary_matrices():
     assert verify_corollary(SymMatrix.identity(3), P33, 5).passed
     assert verify_corollary(SymMatrix.ones(3), P33, 5).passed
@@ -368,25 +412,52 @@ def with_entry(matrix, i, j, value):
 
 
 @st.composite
+def polynomial_entry(draw, m):
+    # 0, a scalar, a_pq, c*a_pq*a_rs, a_pq**2 or a_pq + c*a_rs
+    def var():
+        return Poly.variable(avar(draw(st.integers(1, m)), draw(st.integers(1, m))))
+
+    shape = draw(st.sampled_from(("zero", "scalar", "var", "product", "square", "sum")))
+    if shape == "zero":
+        return 0
+    if shape == "scalar":
+        return draw(SCALARS)
+    if shape == "var":
+        return var()
+    if shape == "square":
+        return var() ** 2
+    c = draw(SCALARS.filter(bool))
+    return c * var() * var() if shape == "product" else var() + c * var()
+
+
+@st.composite
 def sweep_cases(draw):
     # arbitrary entries take the full sweep; the symbolic matrix and
     # alpha*I + beta*J take the sweep reduced to partition contents
-    family = draw(st.sampled_from(("entries", "symbolic", "scalar")))
-    m = draw(st.integers(2, 3 if family == "entries" else 4))
+    family = draw(st.sampled_from(("entries", "symbolic", "scalar", "polynomial")))
+    m = draw(st.integers(2, 4 if family in ("symbolic", "scalar") else 3))
     params = AlgebraParams(m, draw(st.integers(2, m)))
-    # at m = 4 the oracle takes seconds from cap 5 on, symbolic from cap 4
-    cap = draw(st.integers(0, 5 if m < 4 else 3))
+    # at m = 4 the oracle takes seconds from cap 5 on, symbolic from cap 4,
+    # and polynomial entries at m = 3 from cap 5
+    cap = draw(st.integers(0, 3 if m == 4 else 4 if family == "polynomial" else 5))
     if family == "symbolic":
         return SymMatrix.symbolic(m), params, cap
     if family == "scalar":
         alpha = draw(SCALARS)
         beta = draw(st.one_of(st.just(0), st.just(alpha), SCALARS))
         return scalar_plus_ones(m, alpha, beta), params, cap
-    rows = draw(st.lists(st.lists(SCALARS, min_size=m, max_size=m), min_size=m, max_size=m))
+    entries = polynomial_entry(m) if family == "polynomial" else SCALARS
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m))
     return SymMatrix.from_rows(rows), params, cap
 
 
-@settings(max_examples=40, deadline=None)
+def squared(matrix):
+    # every entry squared: the largest exponent is 2, so the sweep's
+    # exponents reach 2 * cap
+    return SymMatrix.from_rows([[e * e for e in row] for row in matrix.entries])
+
+
+@settings(max_examples=50, deadline=None)
 @given(sweep_cases())
 @example((SymMatrix.from_rows([
     [0, -2, Fraction(1, 2)], [3, Fraction(-2, 3), 0], [1, -1, 2],
@@ -401,6 +472,11 @@ def sweep_cases(draw):
 # one entry off an invariant matrix: the full sweep
 @example((with_entry(SymMatrix.ones(3), 1, 2, 2), P33, 5))
 @example((with_entry(SymMatrix.symbolic(3), 0, 1, 2), P33, 4))
+# exponents up to 2 * cap: a digit base of cap + 1 would carry, on the
+# full sweep and on the reduced one, whose renaming moves those digits
+@example((SymMatrix.from_rows([[A12 * A12, A12 + 2 * Poly.variable(avar(2, 1))],
+                               [3, Poly.variable(avar(2, 2)) ** 2]]), P22, 4))
+@example((squared(SymMatrix.symbolic(3)), P33, 4))
 def test_content_totals_match_per_word_oracles(case):
     # both sinks of the sweep, the per-content totals and the per-word
     # table, against the worklist oracle that shares no cache with the sweep
@@ -500,7 +576,8 @@ def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
     assert (sum(within[:cap]), within[cap]) == (nodes, leaves)
     params = AlgebraParams(m, 2)
     counts = SweepCounts()
-    _sweep(_sweep_rows(SymMatrix.identity(m), params, cap), params, cap, counts, pruned=True)
+    rows, _ = _sweep_rows(SymMatrix.identity(m), params, cap)
+    _sweep(rows, params, cap, counts, pruned=True)
     assert (counts.nodes, counts.leaves) == (nodes, leaves)
 
 
@@ -508,10 +585,11 @@ def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
 def test_pruned_sweep_sums_exactly_the_partition_contents(matrix):
     # the pruned sweep also builds words of other contents; their totals
     # would be right but are rebuilt by renaming, so the sink drops them
+    rows, _ = _sweep_rows(matrix, P33, 5)
     full = identity._ContentSink()
-    _sweep(_sweep_rows(matrix, P33, 5), P33, 5, full)
+    _sweep(rows, P33, 5, full)
     partitions = identity._PartitionSink()
-    _sweep(_sweep_rows(matrix, P33, 5), P33, 5, partitions, pruned=True)
+    _sweep(rows, P33, 5, partitions, pruned=True)
     assert partitions.totals() == {
         content: total for content, total in full.totals().items()
         if list(content) == sorted(content, reverse=True)

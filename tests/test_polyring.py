@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macmahon.polyring import (
+    PackedCodec,
     Poly,
     TruncatedSeries,
     apply_transposition,
     avar,
     complete_sym,
     elementary_sym,
+    mono_mul,
     mono_t_degree,
     parse_scalar,
+    rename_vars,
     series_inverse,
     tvar,
     word_t_monomial,
@@ -204,3 +207,39 @@ def test_truncated_product_matches_full_product(p, q, cap_p, cap_q, scalar):
     assert q * left == TruncatedSeries(left.poly * q, cap_p)
     assert left * scalar == TruncatedSeries(left.poly * scalar, cap_p)
     assert scalar * left == left * scalar
+
+
+_CODEC_VARS = [avar(1, 1), avar(1, 2), avar(2, 1), avar(2, 2), tvar(1), tvar(2)]
+
+
+def codec_monomials(top):
+    # monomials over the codec's variables with every exponent <= top
+    return st.dictionaries(st.sampled_from(_CODEC_VARS), st.integers(1, top)).map(
+        lambda exps: tuple(sorted(exps.items())))
+
+
+@given(codec_monomials(6), codec_monomials(3), codec_monomials(3))
+@settings(max_examples=80)
+def test_packed_codec_round_trip_and_products(mono, left, right):
+    codec = PackedCodec(reversed(_CODEC_VARS), 7)
+    assert codec.unpack(codec.pack(mono)) == mono
+    assert codec.unpack(0) == () == codec.unpack(codec.pack(()))
+    # exponents of the product stay below the base, so no digit carries
+    assert codec.pack(left) + codec.pack(right) == codec.pack(mono_mul(left, right))
+    terms = {codec.pack(left): Fraction(3, 2)}
+    terms[codec.pack(right)] = terms.get(codec.pack(right), 0) + Fraction(4, 2)
+    expected = Poly.monomial(left, Fraction(3, 2)) + Poly.monomial(right, 2)
+    assert codec.decode(terms) == expected
+    swap = {avar(1, 2): avar(2, 1), avar(2, 1): avar(1, 2), tvar(1): tvar(2), tvar(2): tvar(1)}
+    assert codec.decode(codec.rename(terms, swap)) == rename_vars(expected, swap)
+
+
+def test_packed_codec_bounds():
+    codec = PackedCodec([tvar(1), avar(1, 1)], 3)
+    assert codec.variables == (avar(1, 1), tvar(1))
+    assert codec.pack(((avar(1, 1), 2), (tvar(1), 1))) == 2 + 3
+    with pytest.raises(ValueError, match="does not fit"):
+        codec.pack(((avar(1, 1), 3),))
+    # a digit carried past the last variable is not a monomial of the codec
+    with pytest.raises(ValueError, match="more digits"):
+        codec.unpack(3 ** 2)
