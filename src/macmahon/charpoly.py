@@ -11,7 +11,11 @@ row can fill, because its own row and all its nonzero entries are already
 passed: the walk cuts that subtree before the next row.  Each earlier
 row sent to a column above c adds one inversion, and the minus sign of
 -lambda folds into the same parity.  Each choice of one term per factor
-adds one monomial to c_r, r the number of lambda-factors.
+adds one monomial to c_r, r the number of lambda-factors: the path carries
+the chosen terms' (variable, exponent) pairs as one concatenated tuple,
+which the leaf sorts once.  Exponents are added only when a variable
+occurs in the terms of two rows; in TA of a numeric or the symbolic
+matrix none does.
 `enumerate_partial_perms` with `PartialPermutation.a_weight` recomputes
 
     c_r = (-1)**r * sum over partial permutations w with support size r
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Iterator, Sequence, Union
 
 from .polyring import Poly, Scalar, avar, parse_scalar, tvar
@@ -201,31 +205,38 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
         for c, _ in row:
             last[c] = max(last[c], i)
     need = [sum(1 << c for c in range(m) if last[c] < i) for i in range(m)]
+    # a leaf multiplies one term per chosen row, so its concatenated pairs
+    # repeat a variable only if some variable occurs in the terms of two rows
+    row_vars = [{var for _, terms in row for mono, _ in terms for var, _ in mono}
+                for row in offers]
+    repeats = sum(map(len, row_vars)) > len(set().union(*row_vars))
     sums: list[dict] = [{} for _ in range(m + 1)]
 
-    def walk(i: int, used: int, coeff, monos: tuple) -> None:
+    def walk(i: int, used: int, coeff, pairs: tuple, r: int) -> None:
         if i == m:
-            exps: dict = {}
-            for var, exp in chain.from_iterable(monos):
-                exps[var] = exps.get(var, 0) + exp
-            key = tuple(sorted(exps.items()))
-            acc = sums[len(monos)]
+            if repeats:
+                exps: dict = {}
+                for var, exp in pairs:
+                    exps[var] = exps.get(var, 0) + exp
+                pairs = exps.items()
+            key = tuple(sorted(pairs))
+            acc = sums[r]
             acc[key] = acc.get(key, 0) + coeff
             return
         if need[i] & ~used:
             return
         if not used >> i & 1:
             odd = (used >> i + 1).bit_count() & 1
-            walk(i + 1, used | 1 << i, -coeff if odd else coeff, monos)
+            walk(i + 1, used | 1 << i, -coeff if odd else coeff, pairs, r)
         for c, terms in offers[i]:
             if used >> c & 1:
                 continue
             # the minus sign of -lambda * M[i, c] folds into the inversion parity
             signed = coeff if (used >> c + 1).bit_count() & 1 else -coeff
             for mono, value in terms:
-                walk(i + 1, used | 1 << c, signed * value, monos + (mono,))
+                walk(i + 1, used | 1 << c, signed * value, pairs + mono, r + 1)
 
-    walk(0, 0, 1, ())
+    walk(0, 0, 1, (), 0)
     return [Poly(acc) for acc in sums]
 
 

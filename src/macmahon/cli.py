@@ -15,6 +15,8 @@ longer than computing them.  So those three documents are written here
 directly, one small writer per term shape (`_poly_json`,
 `_combination_json`), with keys in `sort_keys` order: a monomial's
 variables are sorted by their name string, so "t_10" comes before "t_2".
+`_poly_json` writes the text `"name": exp` of each (variable, exponent)
+pair once per call and builds every term from such prebuilt fragments.
 Strings go through `json`'s own escaper, scalar fields through
 `json.dumps`, and the small `verify` and `count` documents through
 `json.dumps` whole.
@@ -120,29 +122,33 @@ def _json_document(fields: dict[str, str]) -> str:
         f"  {_quote(key)}: {fields[key]}" for key in sorted(fields)) + "\n}"
 
 
+class _Fragments(dict):
+    # the text `"name": exp` of each (var, exp) pair, written once per writer call
+    def __missing__(self, pair: tuple) -> str:
+        text = self[pair] = f"{_quote(var_name(pair[0]))}: {pair[1]}"
+        return text
+
+
 def _poly_json(poly: Poly, level: int) -> str:
     """`poly.to_json_terms()` as written at `level`."""
     pad = "\n" + "  " * (level + 1)
     key_pad = pad + "  "
     var_sep = "," + key_pad + "  "
-    quoted: dict = {}
+    opening = "{" + key_pad + "  "
+    closing = key_pad + "}"
+    coeff_head = "{" + key_pad + '"coeff": '
+    monomial_head = "," + key_pad + '"monomial": '
+    tail = pad + "}"
+    fragments = _Fragments()
     items = []
     for mono, coeff in poly.sorted_terms():
         if mono:
-            entries = []
-            for var, exp in mono:
-                name = quoted.get(var)
-                if name is None:
-                    name = quoted[var] = _quote(var_name(var))
-                entries.append(f"{name}: {exp}")
             # a name has only letters, digits and "_", all above the closing
             # quote, so sorting the entries sorts by name string
-            entries.sort()
-            monomial = "{" + key_pad + "  " + var_sep.join(entries) + key_pad + "}"
+            monomial = opening + var_sep.join(sorted(map(fragments.__getitem__, mono))) + closing
         else:
             monomial = "{}"
-        items.append(f'{{{key_pad}"coeff": {_quote(str(coeff))},'
-                     f'{key_pad}"monomial": {monomial}{pad}}}')
+        items.append(coeff_head + _quote(str(coeff)) + monomial_head + monomial + tail)
     return _json_list(items, level)
 
 

@@ -16,7 +16,8 @@ automaton with the letter counts added to the state, so each length yields
 one t-monomial per content class with the number of admissible words of
 that content, and no word is ever built (`enumerate_admissible` serves the
 tests as the word-by-word oracle).  `egf_check` checks the exponential
-analogue counting permutations without long descent runs, and `n_m_check`
+analogue counting permutations without long descent runs, which it counts
+by inserting letters by relative rank, and `n_m_check`
 contrasts L with the plain m**l obtained when every generator product is
 resummed through the all-ones matrix.
 """
@@ -24,7 +25,7 @@ resummed through the all-ones matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product as iter_product
+from itertools import accumulate, product as iter_product
 from fractions import Fraction
 from math import comb, factorial
 from typing import Union
@@ -45,7 +46,6 @@ from .words import (
     AlgebraParams,
     Word,
     _check_variant,
-    has_decreasing_run,
 )
 
 DP = "dp"
@@ -119,18 +119,22 @@ def _count_dp(params: AlgebraParams, length: int, variant: str) -> list[int]:
 
 
 def _count_transfer(params: AlgebraParams, length: int, variant: str) -> list[int]:
+    # the graph's states are numbered once, in its order, so the walk keeps
+    # its counts in a list and each state's successors as a list of indices
     m, k = params.m, params.k
     values = [m ** l for l in range(min(k - 1, length) + 1)]
     if length >= k:
         graph = build_transfer_graph(params, variant)
-        counts = dict.fromkeys(graph, 1)
+        index = {state: n for n, state in enumerate(graph)}
+        successors = [[index[target] for target in targets] for targets in graph.values()]
+        counts = [1] * len(successors)
         for _ in range(k, length + 1):
-            nxt: dict[Word, int] = {}
-            for state, count in counts.items():
-                for target in graph[state]:
-                    nxt[target] = nxt.get(target, 0) + count
+            nxt = [0] * len(successors)
+            for count, targets in zip(counts, successors):
+                for target in targets:
+                    nxt[target] += count
             counts = nxt
-            values.append(sum(counts.values()))
+            values.append(sum(counts))
     return values
 
 
@@ -261,17 +265,34 @@ def check_symmetry(series: Union[TruncatedSeries, Poly], m: int) -> bool:
 
 
 def count_perms_no_long_descents(n: int, k: int) -> int:
-    """Permutations of {1..n} whose strictly decreasing runs all have length < k."""
+    """Permutations of {1..n} whose strictly decreasing runs all have length < k.
+
+    Counted by inserting letters by relative rank, in O(n**2 * k): the state
+    is the relative rank of the last letter among those placed so far and the
+    length of the strictly decreasing run it ends.  A new letter of rank j'
+    among i + 1 lies below the last letter, of rank j among i, iff j' <= j."""
     if n < 0 or k < 2:
         raise ValueError("need n >= 0 and k >= 2")
-    return sum(
-        1 for perm in permutations(range(1, n + 1))
-        if not has_decreasing_run(perm, k)
-    )
+    if n == 0:
+        return 1
+    # ways[r][j]: arrangements of i letters whose last letter has rank j
+    # (0-based) and ends a decreasing run of r + 1 letters; here i = 1
+    ways = [[1]] + [[0] for _ in range(k - 2)]
+    for _ in range(n - 1):
+        by_rank = [sum(column) for column in zip(*ways)]
+        # a rise to rank j' follows any last letter of rank j < j' and
+        # starts a run; a fall extends the run of a last letter of rank j >= j'
+        rises = [0, *accumulate(by_rank)]
+        falls = [[*accumulate(reversed(row))][::-1] + [0] for row in ways[:-1]]
+        ways = [rises, *falls]
+    return sum(map(sum, ways))
 
 
 @dataclass(frozen=True)
 class EgfReport:
+    """`brute_counts` are the direct counts of `count_perms_no_long_descents`,
+    `series_counts` the ones read off the exponential series."""
+
     k: int
     cap: int
     brute_counts: tuple[int, ...]

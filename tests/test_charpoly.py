@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from macmahon.charpoly import (
     MatrixFormatError,
@@ -49,8 +49,9 @@ def test_char_coeffs_2x2_symbolic():
     assert coeffs[2] == T1 * T2 * (A11 * A22 - A12 * A21)
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 6])
 def test_char_coeffs_match_partial_perm_expansion(m):
+    # m = 6 has 1,957 terms, each a product of distinct variables
     matrix = scale_rows_by_t(SymMatrix.symbolic(m))
     coeffs = char_coeffs(matrix)
     for r in range(m + 1):
@@ -103,9 +104,13 @@ def _oracle_matrices(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_oracle_matrices())
+@example(SymMatrix.from_rows([[1, A11], [A11 * A11, 2]]))
+@example(SymMatrix.from_rows([[A11, 0, A12], [3, A11 * T1, A11 * A11], [A21, A11, 1]]))
 def test_walk_matches_partial_perm_oracle(matrix):
     # the zero-skipping walk against the Poly-product oracle, which shares
-    # none of its code
+    # none of its code; in the examples a_11 occurs in entries of several
+    # rows, squared in one, so some leaves must add the exponents of a
+    # repeated variable
     coeffs = char_coeffs(matrix)
     assert len(coeffs) == matrix.m + 1
     for r in range(matrix.m + 1):

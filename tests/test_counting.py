@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -86,6 +86,15 @@ def test_transfer_skips_graph_below_k(monkeypatch):
             for length in range(k):
                 table = count_admissible(AlgebraParams(m, k), length, variant, TRANSFER)
                 assert table.values == tuple(m ** l for l in range(length + 1))
+
+
+@pytest.mark.parametrize("variant", [STRICT, WEAK])
+@pytest.mark.parametrize("m, k, length", [(5, 3, 30), (6, 4, 25)])
+def test_transfer_matches_dp_beyond_brute_force(m, k, length, variant):
+    # long walks on 25 and 216 window states, where the brute force cannot go
+    params = AlgebraParams(m, k)
+    assert count_admissible(params, length, variant, TRANSFER).values == \
+        count_admissible(params, length, variant, DP).values
 
 
 def test_transfer_graph_structure():
@@ -176,7 +185,7 @@ def test_check_symmetry():
 
 
 def test_perm_counts_frozen():
-    # brute force over S_n; cross-checked against the series in egf_check
+    # frozen values; cross-checked against the series in egf_check
     assert [count_perms_no_long_descents(n, 2) for n in range(6)] == [1] * 6
     assert [count_perms_no_long_descents(n, 3) for n in range(8)] == \
         [1, 1, 2, 5, 17, 70, 349, 2017]
@@ -187,12 +196,34 @@ def test_perm_counts_frozen():
         count_perms_no_long_descents(3, 1)
 
 
+def test_perm_counts_match_brute_force():
+    # the insertion DP against all n! permutations, one pass per n that
+    # records each permutation's longest strictly decreasing run
+    for n in range(9):
+        longest = {}
+        for perm in permutations(range(n)):
+            best = run = min(n, 1)
+            for s in range(1, n):
+                run = run + 1 if perm[s - 1] > perm[s] else 1
+                best = max(best, run)
+            longest[best] = longest.get(best, 0) + 1
+        for k in range(2, 6):
+            expected = sum(count for run, count in longest.items() if run < k)
+            assert count_perms_no_long_descents(n, k) == expected, (n, k)
+
+
 def test_egf_check():
     report = egf_check(3, 7)
     assert report.passed
     assert report.series_counts == (1, 1, 2, 5, 17, 70, 349, 2017)
     assert report.brute_counts == report.series_counts
     assert egf_check(2, 6).series_counts == (1,) * 7
+    # 14! permutations are out of reach for a brute force; the counts are
+    # the permutations without double falls (OEIS A049774)
+    report = egf_check(3, 14)
+    assert report.passed
+    assert report.brute_counts[8:] == (13358, 99377, 822041, 7477162, 74207209,
+                                       797771521, 9236662346)
 
 
 def test_n_m_check_small():
