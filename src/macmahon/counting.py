@@ -138,24 +138,20 @@ def _count_transfer(params: AlgebraParams, length: int, variant: str) -> list[in
     return values
 
 
-def _univariate_denominator(params: AlgebraParams, length: int, variant: str) -> Poly:
-    m, k = params.m, params.k
-    strict = variant == STRICT
-    terms = {(): 1}
-    for r in _second_factor_degrees(k, length)[1:]:
-        count = comb(m, r) if strict else comb(m + r - 1, r)
-        if count:
-            terms[((tvar(1), r),)] = (-1) ** (r % k) * count
-    return Poly(terms)
+def _reciprocal(denominator: dict[int, Union[int, Fraction]], length: int) -> list:
+    # c_0..c_length of 1 / (1 + sum_r d_r u**r), denominator = {r: d_r} for
+    # r >= 1: c_0 = 1 and c_n = -sum_r d_r c_{n-r}
+    values = [1]
+    for n in range(1, length + 1):
+        values.append(-sum(d * values[n - r] for r, d in denominator.items() if r <= n))
+    return values
 
 
 def _count_series(params: AlgebraParams, length: int, variant: str) -> list[int]:
-    inverse = series_inverse(_univariate_denominator(params, length, variant), length)
-    values = []
-    for l in range(length + 1):
-        mono = () if l == 0 else ((tvar(1), l),)
-        values.append(inverse.poly.terms.get(mono, 0))
-    return values
+    m, k = params.m, params.k
+    strict = variant == STRICT
+    return _reciprocal({r: (-1) ** (r % k) * (comb(m, r) if strict else comb(m + r - 1, r))
+                        for r in _second_factor_degrees(k, length)[1:]}, length)
 
 
 def count_admissible(params: AlgebraParams, length: int, variant: str = STRICT,
@@ -308,20 +304,14 @@ def egf_check(k: int, cap: int) -> EgfReport:
         raise ValueError("run length k must be at least 2")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    terms: dict = {}
-    for r in _second_factor_degrees(k, cap):
-        mono = () if r == 0 else ((tvar(1), r),)
-        terms[mono] = Fraction((-1) ** (r % k), factorial(r))
-    inverse = series_inverse(Poly(terms), cap)
+    denominator = {r: Fraction((-1) ** (r % k), factorial(r))
+                   for r in _second_factor_degrees(k, cap)[1:]}
     series_counts = []
-    for n in range(cap + 1):
-        mono = () if n == 0 else ((tvar(1), n),)
-        value = inverse.poly.terms.get(mono, 0) * factorial(n)
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ArithmeticError(f"non-integer permutation count at n={n}")
-            value = int(value)
-        series_counts.append(value)
+    for n, coeff in enumerate(_reciprocal(denominator, cap)):
+        value = Fraction(coeff * factorial(n))
+        if value.denominator != 1:
+            raise ArithmeticError(f"non-integer permutation count at n={n}")
+        series_counts.append(int(value))
     brute_counts = [count_perms_no_long_descents(n, k) for n in range(cap + 1)]
     return EgfReport(k, cap, tuple(brute_counts), tuple(series_counts),
                      brute_counts == series_counts)

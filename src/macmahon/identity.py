@@ -12,9 +12,10 @@ all words j of length <= cap.  Expanding the product of the y's gives
 g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where c(i, j) is
 the coefficient of x_i in the normal form NF(j) of x_{j_1} ... x_{j_l}.
 The sweep gets NF(j) from NF(j_2 ... j_l) by left-multiplying each term
-with x_{j_1}, and hands the weight of each term of NF(j) to a sink.  Its
-cost is the sum over j of |NF(j)|, and only the cap normal forms on the
-current path of the walk are live at any time.
+with x_{j_1}, and hands the weight of each term of NF(j) to a sink; a
+word whose coefficient cancels leaves the weights too, so a sink sees only
+the live terms.  Its cost is the sum over j of |NF(j)|, and only the cap
+normal forms on the current path of the walk are live at any time.
 
 Two sinks read the one sweep.  The per-word sink of `first_factor` adds
 each weight to g(i).  `verify_master` reads only the per-content totals
@@ -54,9 +55,11 @@ and a numeric matrix is exactly when it is alpha*I + beta*J, where rho_s
 does nothing.  For such matrices `first_factor_totals` sweeps only the
 words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
 size <= cap: every suffix of such a word is such a word too, and the
-words of partition content are among them.  It keeps the totals of the
-partition contents and renames them into the others, by moving each
-digit of their packed monomials (below) to its renamed variable's place.
+words of partition content are among them.  The one per-content sink
+reads this sweep too.  On its way, the pruned sweep builds words of other
+contents, so `first_factor_totals` keeps only the totals of the partition
+contents and renames them into the others, by moving each digit of their
+packed monomials (below) to its renamed variable's place.
 The per-word table of `first_factor` always comes from the full sweep.
 
 No `Poly` arithmetic runs in the sweep, its sinks or the product that
@@ -200,13 +203,16 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
     # A term w whose prepend (a,) + w stays admissible passes to the child
     # with weight a_aa times its own; only the other terms are rewritten
     # and have their weight multiplied out afresh.
-    # The sink gets `node` for each built node j, with the coefficients
-    # and weights of NF(j); `kept_leaves` once per node of length cap - 1,
-    # with its terms (w, c, weight, head), where the leaf (a,) + j keeps
-    # (a,) + w with weight a_aa * weight when a <= head; and `add` for
-    # each weighed term of a rewritten leaf.
+    # A word whose coefficient cancels leaves both the coefficients and
+    # the weights, so the weights of a node hold exactly the terms of NF(j).
+    # The sink gets `node` for each built node j, with the weights of
+    # NF(j); `kept_leaves` once per node of length cap - 1, with its terms
+    # (w, c, weight, head), where the leaf (a,) + j keeps (a,) + w with
+    # weight a_aa * weight when a <= head; and `add` for each weighed term
+    # of a rewritten leaf.
     # When `pruned`, only the words whose partition hull has size <= cap
-    # are built; on the last level these are the words of partition content.
+    # are built; on the last level these are the words of partition
+    # content, but the built nodes have other contents too.
     m = params.m
     rewriter = PrependRewriter(params)
     diagonals = [rows[a][a] for a in range(m)]
@@ -219,7 +225,7 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
         return ok
 
     def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
-        sink.node(content, coeffs, weights)
+        sink.node(content, weights)
         if len(j) == cap:
             return
         terms = [(w, c, weights[w], rewriter.head(w)) for w, c in coeffs.items()]
@@ -257,11 +263,11 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
                 else:
                     child[word] = c
                     child_weights[word] = diagonal * weight if diagonal and weight else 0
-            # child_weights may keep words that cancelled out of child; only
-            # the keys of child are ever read
             for u in rewritten:
                 if u in child:
                     child_weights[u] = _path_weight(rows, child[u], u, child_j)
+                else:
+                    child_weights.pop(u, None)
             visit(child_j, child_content, child, child_weights)
 
     visit((), (0,) * m, {(): 1}, {(): 1})
@@ -279,9 +285,9 @@ class _WordSink:
             total += weight
             self.table[word] = total
 
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
-        for i in coeffs:
-            self.add(content, i, weights[i])
+    def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
+        for i, weight in weights.items():
+            self.add(content, i, weight)
 
     def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
         for a, _, child_content in children:
@@ -309,11 +315,11 @@ class _ContentSink:
             total += weight
             self.sums[content] = total
 
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
+    def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
         # `+=`, not sum(): sum() adds by `+`, which copies a packed total
         total = self.sums.get(content, 0)
-        for i in coeffs:
-            total += weights[i]
+        for weight in weights.values():
+            total += weight
         self.sums[content] = total
 
     def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
@@ -340,17 +346,6 @@ class _ContentSink:
             if packed:
                 out[content] = packed
         return out
-
-
-class _PartitionSink(_ContentSink):
-    """FF_lambda for the partition contents lambda only.
-
-    The pruned sweep builds words of other contents on its way to these;
-    their node totals are dropped.  Its leaves all have partition content."""
-
-    def node(self, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
-        if all(map(ge, content, content[1:])):
-            super().node(content, coeffs, weights)
 
 
 def _relabelling(s: Sequence[int]) -> dict:
@@ -502,11 +497,15 @@ def _packed_totals(matrix: SymMatrix, params: AlgebraParams,
         sink = _ContentSink()
         _sweep(rows, params, cap, sink)
         return sink.totals(), codec
-    sink = _PartitionSink()
+    sink = _ContentSink()
     _sweep(rows, params, cap, sink, pruned=True)
     totals = {}
     names: dict[tuple, dict] = {}  # rho_s for each s met, shared by many partitions
     for partition, total in sink.totals().items():
+        # the pruned sweep builds words of other contents on its way to
+        # the partitions; renaming the partitions rebuilds their totals
+        if not all(map(ge, partition, partition[1:])):
+            continue
         for content, s in _rearrangements(partition):
             if s not in names:
                 names[s] = _relabelling(s)
@@ -680,17 +679,8 @@ def verify_corollary(matrix: SymMatrix, params: AlgebraParams, cap: int) -> Veri
             acc += (-1) ** pp.inv * weight
         second[r] = (-1) ** (alpha(r, k) + r) * acc
 
-    residuals = []
-    for d in range(cap + 1):
-        conv = sum(
-            first[l] * second[d - l]
-            for l in range(d + 1) if d - l in second
-        )
-        value = conv - (1 if d == 0 else 0)
-        if not value:
-            residuals.append(Poly.zero())
-        elif d == 0:
-            residuals.append(Poly.constant(value))
-        else:
-            residuals.append(Poly.monomial(((tvar(1), d),), value))
-    return _report_from_residuals(params, cap, COROLLARY, residuals)
+    # values[d]: the coefficient of u**d in the product minus that of 1
+    values = [sum(first[l] * second[d - l] for l in range(d + 1) if d - l in second) - (d == 0)
+              for d in range(cap + 1)]
+    return _report(params, cap, COROLLARY, [1 if value else 0 for value in values],
+                   lambda d: Poly.monomial(((tvar(1), d),) if d else (), values[d]))

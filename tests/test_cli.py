@@ -73,6 +73,18 @@ def test_verify_usage_errors(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--m", "0", "--matrix", "symbolic"], ["--m", "-1"]])
+def test_charpoly_nonpositive_m_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["charpoly", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ")
+    assert error == "macmahon: error: --m must be positive"
+
+
 def test_matrix_file_roundtrip(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from macmahon import cli, identity
-from macmahon.charpoly import SymMatrix, second_factor
+from macmahon.charpoly import SymMatrix, alpha, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
     _relabelling_invariant,
@@ -18,7 +18,7 @@ from macmahon.identity import (
     verify_corollary,
     verify_master,
 )
-from macmahon.polyring import Poly, TruncatedSeries, avar, tvar, word_t_monomial
+from macmahon.polyring import PackedCodec, Poly, TruncatedSeries, avar, tvar, word_t_monomial
 from macmahon.rewrite import PrependRewriter, _normal_form_terms, reversion_vector
 from macmahon.words import AlgebraParams, enumerate_admissible
 
@@ -282,6 +282,14 @@ def test_verify_master_symbolic_small():
     assert report.mode == "symbolic"
 
 
+@pytest.mark.parametrize("matrix", [SymMatrix.ones(5), SymMatrix.random(5, seed=1),
+                                    SymMatrix.symbolic(5)])
+def test_verify_where_kept_and_rewritten_terms_collide(matrix):
+    # these reach the merge of a kept prepend x_a * w with the same word
+    # from a rewritten term of the same node, which no smaller case here does
+    assert verify_master(matrix, AlgebraParams(5, 3), 6).passed
+
+
 def test_report_json_shape():
     report = verify_master(SymMatrix.identity(2), P22, 2)
     obj = report.to_json_obj()
@@ -360,6 +368,26 @@ def test_verify_corollary_matrices():
     report = verify_corollary(SymMatrix.random(4, seed=18), AlgebraParams(4, 3), 4)
     assert report.passed
     assert report.mode == "corollary"
+
+
+@pytest.mark.parametrize("flipped", [0, 2])
+def test_failing_corollary_reports_the_first_residual(monkeypatch, flipped):
+    # the degree-r term s_r of the second bracket with its sign flipped:
+    # the degree-d residual becomes -2 s_r times the degree-(d - r) term of
+    # the first bracket, which the content totals give independently
+    matrix, cap = SymMatrix.random(3, seed=4), 5
+    s_r = sum(second_factor(matrix, P32).t_component(flipped).terms.values())
+    first = [0] * (cap + 1)
+    for content, total in first_factor_totals(matrix, P32, cap).items():
+        first[sum(content)] += total.constant_value()
+    monkeypatch.setattr(identity, "alpha", lambda r, k: alpha(r, k) + (r == flipped))
+    report = verify_corollary(matrix, P32, cap)
+    assert not report.passed
+    assert [c.residual_terms for c in report.per_degree] == [
+        1 if d >= flipped and first[d - flipped] else 0 for d in range(cap + 1)]
+    mono = ((tvar(1), flipped),) if flipped else ()
+    assert report.first_failure == {
+        "degree": flipped, "residual": Poly.monomial(mono, -2 * s_r).to_json_terms()}
 
 
 def test_verify_corollary_fractions_and_errors():
@@ -477,6 +505,10 @@ def squared(matrix):
 @example((SymMatrix.from_rows([[A12 * A12, A12 + 2 * Poly.variable(avar(2, 1))],
                                [3, Poly.variable(avar(2, 2)) ** 2]]), P22, 4))
 @example((squared(SymMatrix.symbolic(3)), P33, 4))
+# scalar path weights added to a packed total
+@example((SymMatrix.from_rows([[Poly.variable(avar(1, 1)), 2], [3, 1]]), P22, 4))
+@example((SymMatrix.from_rows([[1, A12, 2], [Poly.variable(avar(2, 1)), 1, 0],
+                               [1, 2, Poly.variable(avar(3, 3))]]), P33, 4))
 def test_content_totals_match_per_word_oracles(case):
     # both sinks of the sweep, the per-content totals and the per-word
     # table, against the worklist oracle that shares no cache with the sweep
@@ -542,7 +574,7 @@ class SweepCounts:
         self.nodes = 0
         self.leaves = 0
 
-    def node(self, content, coeffs, weights):
+    def node(self, content, weights):
         self.nodes += 1
 
     def kept_leaves(self, children, diagonals, terms):
@@ -582,18 +614,27 @@ def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
 
 
 @pytest.mark.parametrize("matrix", [SymMatrix.ones(3), SymMatrix.symbolic(3)])
-def test_pruned_sweep_sums_exactly_the_partition_contents(matrix):
-    # the pruned sweep also builds words of other contents; their totals
-    # would be right but are rebuilt by renaming, so the sink drops them
+def test_pruned_sweep_sums_exactly_the_partition_contents(monkeypatch, matrix):
+    # the pruned sweep sums every partition content whole
     rows, _ = _sweep_rows(matrix, P33, 5)
     full = identity._ContentSink()
     _sweep(rows, P33, 5, full)
-    partitions = identity._PartitionSink()
-    _sweep(rows, P33, 5, partitions, pruned=True)
-    assert partitions.totals() == {
-        content: total for content, total in full.totals().items()
-        if list(content) == sorted(content, reverse=True)
-    }
+    pruned = identity._ContentSink()
+    _sweep(rows, P33, 5, pruned, pruned=True)
+    partitions = {content: total for content, total in full.totals().items()
+                  if list(content) == sorted(content, reverse=True)}
+    kept = pruned.totals()
+    assert {content: kept[content] for content in partitions if content in kept} == partitions
+    # it also builds words of other contents, so the reduced route renames
+    # only the partition totals, each into its rearrangements: one rename
+    # per content
+    assert kept.keys() > partitions.keys()
+    renamed = []
+    rename = PackedCodec.rename
+    monkeypatch.setattr(PackedCodec, "rename",
+                        lambda codec, terms, names: renamed.append(names) or rename(codec, terms, names))
+    totals = first_factor_totals(matrix, P33, 5)
+    assert len(renamed) == len(totals)
 
 
 def test_cap_deeper_than_the_sweep_recursion_is_refused():
