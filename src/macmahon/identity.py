@@ -32,14 +32,21 @@ along the path: almost every left-multiplication x_a * w is already
 admissible, and then the term (a,) + w of the child inherits a_aa times
 the weight of w.  Only the prepends whose front k-window is strictly
 decreasing are rewritten and cached, by `rewrite.PrependRewriter` (all
-rewriting lives in `rewrite`), and weighed afresh.
+rewriting lives in `rewrite`).  The rewritten terms of a child are summed
+per word first, and each word whose sum is nonzero is weighed once,
+against the columns of A for the letters of j, which the walk carries
+along its path: the child (a,) + j gets column a in front of its
+parent's.  The children of a node depend only on its content, so each
+content's list of (letter, child content), with the hull test of the
+pruned sweep below applied, is built once per sweep.
 
 The weight is linear in the coefficient c, so the last level of the
 sweep (len(j) = cap, about (m-1)/m of all nodes) is never built: each
-node of length cap - 1 scatters straight into the sink, once per letter
-a, a_aa times the weight of each kept term and the weighed normal form
-of each rewritten one.  The per-content sink sums the kept weights first,
-so it multiplies by a_aa once per letter.
+node of length cap - 1 hands the sink, in one call, its kept terms,
+which leaf a keeps with a_aa times their weight, and for each leaf the
+weighed normal forms of its rewritten terms, merged into one weight per
+word.  The per-content sink sums the kept weights first, so it
+multiplies by a_aa once per letter.
 
 Relabelling the generators by a permutation s of {1..m} is an algebra
 automorphism, because the relations (the antisymmetrizers) span a
@@ -56,10 +63,11 @@ does nothing.  For such matrices `first_factor_totals` sweeps only the
 words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
 size <= cap: every suffix of such a word is such a word too, and the
 words of partition content are among them.  The one per-content sink
-reads this sweep too.  On its way, the pruned sweep builds words of other
-contents, so `first_factor_totals` keeps only the totals of the partition
-contents and renames them into the others, by moving each digit of their
-packed monomials (below) to its renamed variable's place.
+reads this sweep too.  Every word of a content whose hull fits in the
+cap is swept, so the sink's totals of these contents are exact;
+`first_factor_totals` keeps them and renames the partition totals into
+the contents whose hull is larger, by moving each digit of their packed
+monomials (below) to its renamed variable's place.
 The per-word table of `first_factor` always comes from the full sweep.
 
 No `Poly` arithmetic runs in the sweep, its sinks or the product that
@@ -175,17 +183,6 @@ def _packed(weight: Weight) -> dict:
     return {0: weight} if weight else {}
 
 
-def _path_weight(rows: list[list[Weight]], c: int, i: Word, j: Word) -> Weight:
-    # c * prod_s a_{i_s j_s}, stopping at the first zero entry
-    weight = c
-    for a, b in zip(i, j):
-        entry = rows[a - 1][b - 1]
-        if not entry:
-            return 0
-        weight = weight * entry
-    return weight
-
-
 def _hull_size(content: tuple) -> int:
     # the size of the least partition above content: gamma_i = max(c_i, c_{i+1}, ...)
     size = top = 0
@@ -201,76 +198,107 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
     # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
     # the sink adds to g(i) or to the total of the content of j.
     # A term w whose prepend (a,) + w stays admissible passes to the child
-    # with weight a_aa times its own; only the other terms are rewritten
-    # and have their weight multiplied out afresh.
+    # with weight a_aa times its own; the other terms are rewritten and
+    # summed per word, and each word is weighed once against the columns
+    # of A for j that the walk carries: cols[s][b] = a_{b j_s}.
     # A word whose coefficient cancels leaves both the coefficients and
     # the weights, so the weights of a node hold exactly the terms of NF(j).
     # The sink gets `node` for each built node j, with the weights of
-    # NF(j); `kept_leaves` once per node of length cap - 1, with its terms
-    # (w, c, weight, head), where the leaf (a,) + j keeps (a,) + w with
-    # weight a_aa * weight when a <= head; and `add` for each weighed term
-    # of a rewritten leaf.
+    # NF(j), and `last_level` once per node of length cap - 1, with its
+    # children [(a, content)], its terms (w, c, weight, head), where the
+    # leaf (a,) + j keeps (a,) + w with weight a_aa * weight when
+    # a <= head, and its fronts [(content, {word: weight})]: for each leaf
+    # with a live rewritten word, the weighed normal forms of its
+    # rewritten terms summed per word.
     # When `pruned`, only the words whose partition hull has size <= cap
     # are built; on the last level these are the words of partition
     # content, but the built nodes have other contents too.
     m = params.m
     rewriter = PrependRewriter(params)
+    front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
     diagonals = [rows[a][a] for a in range(m)]
-    hull_fits: dict[tuple, bool] = {}
+    # column b of A read by letter: columns[b - 1][a] = a_ab (index 0 unused)
+    columns = [(None, *(row[b] for row in rows)) for b in range(m)]
+    # (a, content of (a,) + j) for each letter a, by the content of j: the
+    # children of one content are the same at every node of that content
+    child_table: dict[tuple, list[tuple[int, tuple]]] = {}
 
-    def fits(content: tuple) -> bool:
-        ok = hull_fits.get(content)
-        if ok is None:
-            ok = hull_fits[content] = _hull_size(content) <= cap
-        return ok
-
-    def visit(j: Word, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
+    def visit(cols: list, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
         sink.node(content, weights)
-        if len(j) == cap:
+        if len(cols) == cap:
             return
-        terms = [(w, c, weights[w], rewriter.head(w)) for w, c in coeffs.items()]
-        children = [(a, (a,) + j, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
-                    for a in range(1, m + 1)]
-        if pruned:
-            children = [child for child in children if fits(child[2])]
-        if len(j) + 1 == cap:
+        terms = [(w, c, weights[w], heads.get(w[:front_len], m)) for w, c in coeffs.items()]
+        children = child_table.get(content)
+        if children is None:
+            children = [(a, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
+                        for a in range(1, m + 1)]
+            if pruned:
+                children = [child for child in children if _hull_size(child[1]) <= cap]
+            child_table[content] = children
+        if len(cols) + 1 == cap:
             # the weight is linear in c, so the last level is never built:
-            # kept terms go to the sink scaled by a_aa, and each rewritten
-            # term scatters its weighed normal form
-            sink.kept_leaves(children, diagonals, terms)
-            fronts = [term for term in terms if term[3] < m]
-            for a, child_j, child_content in children:
-                for w, c, _, head in fronts:
-                    if a > head:
-                        for u, coeff in rewriter.front((a,) + w).items():
-                            sink.add(child_content, u, _path_weight(rows, c * coeff, u, child_j))
+            # kept terms go to the sink scaled by a_aa, and the rewritten
+            # terms of each leaf are summed per word and weighed once
+            fronts = []
+            rewritten = [(w, c, head) for w, c, _, head in terms if head < m]
+            if rewritten:
+                for a, child_content in children:
+                    merged: dict[Word, int] = {}
+                    for w, c, head in rewritten:
+                        if a > head:
+                            for u, coeff in front((a,) + w).items():
+                                merged[u] = merged.get(u, 0) + c * coeff
+                    if merged:
+                        leaf_cols = [columns[a - 1], *cols]
+                        weighed: dict[Word, Weight] = {}
+                        for u, weight in merged.items():
+                            if not weight:
+                                continue
+                            for letter, col in zip(u, leaf_cols):
+                                entry = col[letter]
+                                if not entry:
+                                    break
+                                weight = weight * entry
+                            else:
+                                weighed[u] = weight
+                        if weighed:
+                            fronts.append((child_content, weighed))
+            sink.last_level(children, diagonals, terms, fronts)
             return
-        for a, child_j, child_content in children:
+        for a, child_content in children:
             diagonal = diagonals[a - 1]
             child: dict[Word, int] = {}
             child_weights: dict[Word, Weight] = {}
-            rewritten: list[Word] = []
+            fresh: dict[Word, int] = {}
             for w, c, weight, head in terms:
-                word = (a,) + w
                 if a > head:
-                    nf = rewriter.front(word)
-                    for u, coeff in nf.items():
-                        _accumulate(child, u, c * coeff)
-                    rewritten.extend(nf)
-                elif word in child:
-                    # reached by a rewrite too, so its weight is redone below
-                    _accumulate(child, word, c)
+                    for u, coeff in front((a,) + w).items():
+                        fresh[u] = fresh.get(u, 0) + c * coeff
                 else:
+                    word = (a,) + w
                     child[word] = c
                     child_weights[word] = diagonal * weight if diagonal and weight else 0
-            for u in rewritten:
-                if u in child:
-                    child_weights[u] = _path_weight(rows, child[u], u, child_j)
-                else:
-                    child_weights.pop(u, None)
-            visit(child_j, child_content, child, child_weights)
+            child_cols = [columns[a - 1], *cols]
+            for u, c in fresh.items():
+                if not c:
+                    continue
+                # a kept term of the same word adds its coefficient, and the
+                # word is weighed afresh with the sum
+                c += child.get(u, 0)
+                if not c:
+                    del child[u], child_weights[u]
+                    continue
+                child[u] = weight = c
+                for letter, col in zip(u, child_cols):
+                    entry = col[letter]
+                    if not entry:
+                        weight = 0
+                        break
+                    weight = weight * entry
+                child_weights[u] = weight
+            visit(child_cols, child_content, child, child_weights)
 
-    visit((), (0,) * m, {(): 1}, {(): 1})
+    visit([], (0,) * m, {(): 1}, {(): 1})
 
 
 class _WordSink:
@@ -279,7 +307,7 @@ class _WordSink:
     def __init__(self) -> None:
         self.table: dict[Word, Weight] = {}
 
-    def add(self, content: tuple, word: Word, weight: Weight) -> None:
+    def add(self, word: Word, weight: Weight) -> None:
         if weight:
             total = self.table.get(word, 0)
             total += weight
@@ -287,33 +315,29 @@ class _WordSink:
 
     def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
         for i, weight in weights.items():
-            self.add(content, i, weight)
+            self.add(i, weight)
 
-    def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
-        for a, _, child_content in children:
+    def last_level(self, children: list, diagonals: list[Weight], terms: list, fronts: list) -> None:
+        for a, _ in children:
             diagonal = diagonals[a - 1]
             if not diagonal:
                 continue
             for w, _, weight, head in terms:
                 if a <= head and weight:
-                    self.add(child_content, (a,) + w, diagonal * weight)
+                    self.add((a,) + w, diagonal * weight)
+        for _, weighed in fronts:
+            for u, weight in weighed.items():
+                self.add(u, weight)
 
 
 class _ContentSink:
     """FF_gamma = sum of g(i) over the words i of content gamma.
 
     Every term of NF(j) has the content of j, so each node adds its total
-    weight once, keyed by the letter counts of j, and `add` does not read
-    the word."""
+    weight once, keyed by the letter counts of j, and no word is read."""
 
     def __init__(self) -> None:
         self.sums: dict[tuple, Weight] = {}
-
-    def add(self, content: tuple, word: Word, weight: Weight) -> None:
-        if weight:
-            total = self.sums.get(content, 0)
-            total += weight
-            self.sums[content] = total
 
     def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
         # `+=`, not sum(): sum() adds by `+`, which copies a packed total
@@ -322,7 +346,7 @@ class _ContentSink:
             total += weight
         self.sums[content] = total
 
-    def kept_leaves(self, children: list, diagonals: list[Weight], terms: list) -> None:
+    def last_level(self, children: list, diagonals: list[Weight], terms: list, fronts: list) -> None:
         # x_a * w stays admissible exactly when a <= head(w), so the kept
         # terms of child a are those with head >= a; the suffix sums run
         # over every head, since a pruned sweep may hand over only some
@@ -333,10 +357,18 @@ class _ContentSink:
                 kept[head - 1] += weight
         for a in range(len(diagonals) - 1, 0, -1):
             kept[a - 1] += kept[a]
-        for a, _, child_content in children:
+        sums = self.sums
+        for a, content in children:
             diagonal = diagonals[a - 1]
             if diagonal and kept[a - 1]:
-                self.add(child_content, (), diagonal * kept[a - 1])
+                total = sums.get(content, 0)
+                total += diagonal * kept[a - 1]
+                sums[content] = total
+        for content, weighed in fronts:
+            total = sums.get(content, 0)
+            for weight in weighed.values():
+                total += weight
+            sums[content] = total
 
     def totals(self) -> dict[tuple, dict]:
         """{content: {packed monomial: coeff}}, zero totals left out."""
@@ -493,23 +525,24 @@ def _packed_totals(matrix: SymMatrix, params: AlgebraParams,
                    cap: int) -> tuple[dict[tuple, dict], PackedCodec]:
     # FF_gamma as {content: {packed monomial: coeff}}, with the codec
     rows, codec = _sweep_rows(matrix, params, cap)
-    if not _relabelling_invariant(matrix):
-        sink = _ContentSink()
-        _sweep(rows, params, cap, sink)
-        return sink.totals(), codec
+    pruned = _relabelling_invariant(matrix)
     sink = _ContentSink()
-    _sweep(rows, params, cap, sink, pruned=True)
-    totals = {}
+    _sweep(rows, params, cap, sink, pruned)
+    totals = sink.totals()
+    if not pruned:
+        return totals, codec
+    # every word of a content whose hull fits in the cap was swept, so its
+    # total is exact; the partitions are among these contents, and their
+    # totals renamed give the contents whose hull is larger
     names: dict[tuple, dict] = {}  # rho_s for each s met, shared by many partitions
-    for partition, total in sink.totals().items():
-        # the pruned sweep builds words of other contents on its way to
-        # the partitions; renaming the partitions rebuilds their totals
+    for partition, total in list(totals.items()):
         if not all(map(ge, partition, partition[1:])):
             continue
         for content, s in _rearrangements(partition):
-            if s not in names:
-                names[s] = _relabelling(s)
-            totals[content] = codec.rename(total, names[s])
+            if _hull_size(content) > cap:
+                if s not in names:
+                    names[s] = _relabelling(s)
+                totals[content] = codec.rename(total, names[s])
     return totals, codec
 
 
@@ -522,10 +555,10 @@ def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> d
     When the matrix is invariant under relabelling the generators (the
     generic symbolic matrix, or numerically alpha*I + beta*J), only the
     words whose partition hull has size <= cap are swept, and each total
-    of a non-partition content gamma is the total of its partition lambda
-    with the a_pq renamed: FF_gamma = rho_s(FF_lambda) for any s with
-    gamma_{s(i)} = lambda_i, since relabelling is an automorphism of the
-    algebra (see the module docstring).  Other matrices take the full
+    of a content gamma whose hull is larger is the total of its partition
+    lambda with the a_pq renamed: FF_gamma = rho_s(FF_lambda) for any s
+    with gamma_{s(i)} = lambda_i, since relabelling is an automorphism of
+    the algebra (see the module docstring).  Other matrices take the full
     sweep.
     """
     totals, codec = _packed_totals(matrix, params, cap)

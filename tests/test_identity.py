@@ -20,7 +20,7 @@ from macmahon.identity import (
 )
 from macmahon.polyring import PackedCodec, Poly, TruncatedSeries, avar, tvar, word_t_monomial
 from macmahon.rewrite import PrependRewriter, _normal_form_terms, reversion_vector
-from macmahon.words import AlgebraParams, enumerate_admissible
+from macmahon.words import AlgebraParams, enumerate_admissible, is_admissible
 
 P22 = AlgebraParams(2, 2)
 P32 = AlgebraParams(3, 2)
@@ -485,8 +485,68 @@ def squared(matrix):
     return SymMatrix.from_rows([[e * e for e in row] for row in matrix.entries])
 
 
+class RecordingSink:
+    """A sink that keeps the arguments of every call the sweep makes."""
+
+    def __init__(self):
+        self.nodes = []
+        self.last_levels = []
+
+    def node(self, content, weights):
+        self.nodes.append((content, dict(weights)))
+
+    def last_level(self, children, diagonals, terms, fronts):
+        self.last_levels.append((list(children), list(diagonals), list(terms), list(fronts)))
+
+
+def recorded_sweep(matrix, params, cap):
+    sink = RecordingSink()
+    rows, _ = _sweep_rows(matrix, params, cap)
+    _sweep(rows, params, cap, sink)
+    return sink
+
+
+def leaf_fronts(a, terms, params):
+    # {word: the coefficients it gets from each rewritten term of the leaf
+    # child a}, from the worklist oracle: (a,) + w is rewritten exactly when
+    # it is not admissible
+    reach = {}
+    for w, c, _, _ in terms:
+        if not is_admissible((a,) + w, params):
+            for u, coeff in _normal_form_terms((a,) + w, params).items():
+                reach.setdefault(u, []).append(c * coeff)
+    return reach
+
+
+def front_collisions(case):
+    # (summed coefficient, weight handed to the sink or None) for each word
+    # of a leaf child that two or more of its rewritten terms reach
+    matrix, params, cap = case
+    found = []
+    for children, _, terms, fronts in recorded_sweep(matrix, params, cap).last_levels:
+        weighed = dict(fronts)
+        for a, content in children:
+            for u, parts in leaf_fronts(a, terms, params).items():
+                if len(parts) > 1:
+                    found.append((sum(parts), weighed.get(content, {}).get(u)))
+    return found
+
+
+# m = 3, k = 3 first merges the fronts of two terms of one leaf at cap 6: at
+# the leaf (3, 2, 1, 3, 2, 1), the terms (2,1,2,1,3) and (2,1,1,2,3) of
+# NF(2, 1, 3, 2, 1) both reach (1, 2, 1, 3, 2, 3), with coefficients adding
+# to 2, and (2, 1, 3, 1, 2, 3), with coefficients cancelling.  Each matrix
+# keeps the entries that weigh one of these words against that leaf and
+# zeroes the other's, so assigning instead of adding in the merge changes
+# a total in both
+MERGE_SUM = (SymMatrix.from_rows([[2, 0, -1], [0, 3, 0], [1, 0, -2]]), P33, 6)
+MERGE_CANCEL = (SymMatrix.from_rows([[0, 2, -1], [0, 3, 1], [-2, 0, 0]]), P33, 6)
+
+
 @settings(max_examples=50, deadline=None)
 @given(sweep_cases())
+@example(MERGE_SUM)
+@example(MERGE_CANCEL)
 @example((SymMatrix.from_rows([
     [0, -2, Fraction(1, 2)], [3, Fraction(-2, 3), 0], [1, -1, 2],
 ]), P33, 5))
@@ -525,6 +585,43 @@ def test_content_totals_match_per_word_oracles(case):
     table = first_factor(matrix, params, cap)
     assert {word: table.g(word) for word in g} == g
     assert totals_by_content(table.series(), params.m) == totals
+
+
+def test_merge_examples_still_merge_colliding_fronts():
+    # the two merge examples above must keep their collisions; a word whose
+    # coefficients cancel is not weighed or handed to the sink
+    assert any(total and weight for total, weight in front_collisions(MERGE_SUM))
+    cancelled = [weight for total, weight in front_collisions(MERGE_CANCEL) if not total]
+    assert cancelled and all(weight is None for weight in cancelled)
+
+
+def test_sweep_hands_each_leaf_its_merged_fronts_in_one_call():
+    # a random matrix takes the full sweep; a leaf child with a live
+    # rewritten word gets one fronts entry, with each of those words once
+    matrix, params, cap = SymMatrix.random(3, seed=1), P33, 5
+    sink = recorded_sweep(matrix, params, cap)
+    sums = {}
+
+    def add(content, weight):
+        sums[content] = sums.get(content, 0) + weight
+
+    for content, weights in sink.nodes:
+        add(content, sum(weights.values()))
+    fronted = 0
+    for children, diagonals, terms, fronts in sink.last_levels:
+        letters = {content: a for a, content in children}
+        for a, content in children:
+            add(content, diagonals[a - 1] * sum(weight for w, _, weight, _ in terms
+                                                if is_admissible((a,) + w, params)))
+        assert len({content for content, _ in fronts}) == len(fronts)
+        for content, weighed in fronts:
+            reach = leaf_fronts(letters[content], terms, params)
+            assert weighed and all(weight and sum(reach[u]) for u, weight in weighed.items())
+            add(content, sum(weighed.values()))
+        fronted += len(fronts)
+    assert fronted > 0
+    assert {content: Poly.constant(total) for content, total in sums.items() if total} \
+        == first_factor_totals(matrix, params, cap)
 
 
 def test_relabelling_invariance():
@@ -577,11 +674,8 @@ class SweepCounts:
     def node(self, content, weights):
         self.nodes += 1
 
-    def kept_leaves(self, children, diagonals, terms):
+    def last_level(self, children, diagonals, terms, fronts):
         self.leaves += len(children)
-
-    def add(self, content, word, weight):
-        pass
 
 
 def hull_size(word, m):
@@ -590,6 +684,10 @@ def hull_size(word, m):
         top = max(top, word.count(a))
         size += top
     return size
+
+
+def content_hull_size(content):
+    return hull_size([a for a, count in enumerate(content, 1) for _ in range(count)], len(content))
 
 
 @pytest.mark.parametrize("m,cap,nodes,leaves", [
@@ -615,26 +713,35 @@ def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
 
 @pytest.mark.parametrize("matrix", [SymMatrix.ones(3), SymMatrix.symbolic(3)])
 def test_pruned_sweep_sums_exactly_the_partition_contents(monkeypatch, matrix):
-    # the pruned sweep sums every partition content whole
-    rows, _ = _sweep_rows(matrix, P33, 5)
+    # the pruned sweep sums every content whose hull fits in the cap whole,
+    # the partition contents among them
+    rows, codec = _sweep_rows(matrix, P33, 5)
     full = identity._ContentSink()
     _sweep(rows, P33, 5, full)
     pruned = identity._ContentSink()
     _sweep(rows, P33, 5, pruned, pruned=True)
-    partitions = {content: total for content, total in full.totals().items()
-                  if list(content) == sorted(content, reverse=True)}
     kept = pruned.totals()
-    assert {content: kept[content] for content in partitions if content in kept} == partitions
-    # it also builds words of other contents, so the reduced route renames
-    # only the partition totals, each into its rearrangements: one rename
-    # per content
-    assert kept.keys() > partitions.keys()
+    assert kept == {content: total for content, total in full.totals().items()
+                    if content_hull_size(content) <= 5}
+    partitions = {content for content in kept if list(content) == sorted(content, reverse=True)}
+    assert kept.keys() > partitions
+    # renaming a partition total gives the same total on each of its
+    # rearrangements that the sweep summed
+    checked = set()
+    for partition in partitions:
+        for content, s in identity._rearrangements(partition):
+            if content_hull_size(content) <= 5:
+                checked.add(content)
+                assert codec.rename(kept[partition], identity._relabelling(s)) == kept.get(content, {})
+    assert checked >= kept.keys()
+    # so the reduced route renames only into the contents whose hull is
+    # larger than the cap: one rename per such content
     renamed = []
     rename = PackedCodec.rename
     monkeypatch.setattr(PackedCodec, "rename",
                         lambda codec, terms, names: renamed.append(names) or rename(codec, terms, names))
     totals = first_factor_totals(matrix, P33, 5)
-    assert len(renamed) == len(totals)
+    assert len(renamed) == sum(1 for content in totals if content_hull_size(content) > 5) > 0
 
 
 def test_cap_deeper_than_the_sweep_recursion_is_refused():
