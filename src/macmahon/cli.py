@@ -5,7 +5,9 @@ plain text or JSON (--format json); every number prints exactly, as an
 integer or a rational p/q, and identical invocations produce identical
 bytes.  Exit codes: 0 for success/pass, 1 for a violated identity or a
 method disagreement, 2 for usage errors (including malformed matrix
-files).
+files), 141 when the reader closes stdout before the output ends (as
+`macmahon ... | head` does; the code of a process killed by SIGPIPE),
+with nothing on stderr.
 
 JSON output is the text `json.dumps(obj, indent=2, sort_keys=True)`
 writes for the library's object form (`to_json_obj` / `to_json_terms`),
@@ -15,8 +17,14 @@ longer than computing them.  So those three documents are written here
 directly, one small writer per term shape (`_poly_json`,
 `_combination_json`), with keys in `sort_keys` order: a monomial's
 variables are sorted by their name string, so "t_10" comes before "t_2".
+The documents are streamed: each writer passes the text of every term to
+stdout's `write` as soon as it is formed, so memory grows with the
+result, not with copies of its text (`charpoly --m 8 --matrix symbolic`
+writes 40 MB from a CPython 3.11 process that peaks at about 46 MB).
 `_poly_json` writes the text `"name": exp` of each (variable, exponent)
-pair once per call and builds every term from such prebuilt fragments.
+pair once per call and builds every term from such prebuilt fragments;
+`_combination_json` formats each term with one format string that has a
+field per letter, since all words of a combination have one length.
 Strings go through `json`'s own escaper, scalar fields through
 `json.dumps`, and the small `verify` and `count` documents through
 `json.dumps` whole.
@@ -25,10 +33,12 @@ Strings go through `json`'s own escaper, scalar fields through
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .charpoly import (
     MatrixFormatError,
@@ -42,6 +52,8 @@ from .identity import max_sweep_cap, verify_master
 from .polyring import Poly, var_name
 from .rewrite import NCombination, normal_form
 from .words import STRICT, WEAK, AlgebraParams
+
+_Write = Callable[[str], object]
 
 _MATRIX_HELP = "identity | ones | symbolic | random | path to a JSON matrix file"
 
@@ -107,19 +119,36 @@ def _emit_json(obj) -> None:
 
 
 # Writers of the indented text for one object shape at nesting `level`
-# (the top-level document is level 0, its values level 1).
+# (the top-level document is level 0, its values level 1).  Each hands the
+# output's `write` every item as soon as its text is formed, so neither a
+# table nor the document is ever held as one string.
 
-def _json_list(items: list[str], level: int) -> str:
-    if not items:
-        return "[]"
+def _json_list(write: _Write, items: Iterable[str], level: int) -> None:
+    """Write the list of the item texts `items` at `level`, one `write` per item."""
     pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+    head, sep = "[" + pad, "," + pad
+    for item in items:
+        write(head + item)
+        head = sep
+    write("\n" + "  " * level + "]" if head is sep else "[]")
 
 
-def _json_document(fields: dict[str, str]) -> str:
-    # the top-level object, from the already written text of each value
-    return "{\n" + ",\n".join(
-        f"  {_quote(key)}: {fields[key]}" for key in sorted(fields)) + "\n}"
+def _json_document(write: _Write, fields: dict) -> None:
+    """Write the top-level object and its final newline.
+
+    Each value of `fields` is either the text of a scalar or a function
+    that writes the value at level 1 through the `write` it is given.
+    """
+    head = "{\n  "
+    for key in sorted(fields):
+        write(head + _quote(key) + ": ")
+        value = fields[key]
+        if isinstance(value, str):
+            write(value)
+        else:
+            value(write)
+        head = ",\n  "
+    write("\n}\n")
 
 
 class _Fragments(dict):
@@ -129,8 +158,8 @@ class _Fragments(dict):
         return text
 
 
-def _poly_json(poly: Poly, level: int) -> str:
-    """`poly.to_json_terms()` as written at `level`."""
+def _poly_json(write: _Write, poly: Poly, level: int) -> None:
+    """Write `poly.to_json_terms()` at `level`."""
     pad = "\n" + "  " * (level + 1)
     key_pad = pad + "  "
     var_sep = "," + key_pad + "  "
@@ -139,28 +168,42 @@ def _poly_json(poly: Poly, level: int) -> str:
     coeff_head = "{" + key_pad + '"coeff": '
     monomial_head = "," + key_pad + '"monomial": '
     tail = pad + "}"
-    fragments = _Fragments()
-    items = []
-    for mono, coeff in poly.sorted_terms():
-        if mono:
-            # a name has only letters, digits and "_", all above the closing
-            # quote, so sorting the entries sorts by name string
-            monomial = opening + var_sep.join(sorted(map(fragments.__getitem__, mono))) + closing
-        else:
-            monomial = "{}"
-        items.append(coeff_head + _quote(str(coeff)) + monomial_head + monomial + tail)
-    return _json_list(items, level)
+    fragment = _Fragments().__getitem__
+
+    def terms():
+        for mono, coeff in poly.sorted_terms():
+            if mono:
+                # a name has only letters, digits and "_", all above the closing
+                # quote, so sorting the entries sorts by name string
+                monomial = opening + var_sep.join(sorted(map(fragment, mono))) + closing
+            else:
+                monomial = "{}"
+            yield coeff_head + _quote(str(coeff)) + monomial_head + monomial + tail
+
+    _json_list(write, terms(), level)
 
 
-def _combination_json(combination: NCombination, level: int) -> str:
-    """`combination.to_json_obj()` as written at `level`."""
+def _poly_list_json(write: _Write, polys: Sequence[Poly], level: int) -> None:
+    """Write `[poly.to_json_terms() for poly in polys]` at `level`."""
+    pad = "\n" + "  " * (level + 1)
+    head, sep = "[" + pad, "," + pad
+    for poly in polys:
+        write(head)
+        _poly_json(write, poly, level + 1)
+        head = sep
+    write("\n" + "  " * level + "]" if polys else "[]")
+
+
+def _combination_json(write: _Write, combination: NCombination, level: int) -> None:
+    """Write `combination.to_json_obj()` at `level`."""
+    items = combination.sorted_items()
     pad = "\n" + "  " * (level + 1)
     key_pad = pad + "  "
-    return _json_list([
-        f'{{{key_pad}"coeff": {_quote(str(coeff))},'
-        f'{key_pad}"word": {_json_list([str(c) for c in word], level + 2)}{pad}}}'
-        for word, coeff in combination.sorted_items()
-    ], level)
+    # all words of a combination have one length: one field per letter
+    length = len(items[0][0]) if items else 0
+    word = ("[" + ",".join([key_pad + "  {}"] * length) + key_pad + "]") if length else "[]"
+    term = ("{{" + key_pad + '"coeff": {coeff},' + key_pad + '"word": ' + word + pad + "}}").format
+    _json_list(write, (term(*w, coeff=_quote(str(coeff))) for w, coeff in items), level)
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -208,16 +251,16 @@ def _cmd_series(args, parser: argparse.ArgumentParser) -> int:
     _nonnegative(args.cap, "--cap", parser)
     result = f_series(params, args.cap, args.variant)
     if args.format == "json":
-        print(_json_document({
+        _json_document(sys.stdout.write, {
             "m": json.dumps(params.m),
             "k": json.dumps(params.k),
             "variant": json.dumps(result.variant),
             "cap": json.dumps(result.cap),
-            "denominator": _poly_json(result.denominator, 1),
-            "lhs": _poly_json(result.lhs.poly, 1),
-            "rhs": _poly_json(result.rhs.poly, 1),
+            "denominator": lambda write: _poly_json(write, result.denominator, 1),
+            "lhs": lambda write: _poly_json(write, result.lhs.poly, 1),
+            "rhs": lambda write: _poly_json(write, result.rhs.poly, 1),
             "equal": json.dumps(result.equal),
-        }))
+        })
     else:
         print(f"series m={params.m} k={params.k} variant={args.variant} cap={args.cap}")
         print(f"  denominator: {result.denominator}")
@@ -235,12 +278,12 @@ def _cmd_normal_form(args, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":
-        print(_json_document({
+        _json_document(sys.stdout.write, {
             "m": json.dumps(params.m),
             "k": json.dumps(params.k),
-            "word": _json_list([str(c) for c in word], 1),
-            "terms": _combination_json(combination, 1),
-        }))
+            "word": lambda write: _json_list(write, map(str, word), 1),
+            "terms": lambda write: _combination_json(write, combination, 1),
+        })
     else:
         print(f"normal-form m={params.m} k={params.k} word={args.word}")
         for term_word, coeff in combination.sorted_items():
@@ -255,10 +298,10 @@ def _cmd_charpoly(args, parser: argparse.ArgumentParser) -> int:
     matrix = _load_matrix(args, parser)
     coeffs = char_coeffs(scale_rows_by_t(matrix))
     if args.format == "json":
-        print(_json_document({
+        _json_document(sys.stdout.write, {
             "m": json.dumps(args.m),
-            "coeffs": _json_list([_poly_json(c, 2) for c in coeffs], 1),
-        }))
+            "coeffs": lambda write: _poly_list_json(write, coeffs, 1),
+        })
     else:
         print(f"charpoly m={args.m} matrix={args.matrix}")
         for r, coeff in enumerate(coeffs):
@@ -327,7 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args, parser)
+    try:
+        code = args.handler(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`macmahon ... | head`): exit as a process
+        # killed by SIGPIPE does, without a traceback.  Python flushes stdout
+        # once more at exit, so a real descriptor is pointed at devnull first
+        # (the recipe in the `signal` module's documentation).
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            pass  # an in-memory stdout: nothing is flushed to a pipe at exit
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

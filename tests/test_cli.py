@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -328,6 +330,13 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def written(fields: dict) -> str:
+    """The text `cli._json_document` writes for `fields`, its writes joined."""
+    pieces = []
+    cli._json_document(pieces.append, fields)
+    return "".join(pieces)
+
+
 # indices up to 12, so that "t_10" sorts before "t_2" and "a_1_12" before
 # "a_1_2": name order differs from variable-key order
 _indices = st.integers(1, 12)
@@ -346,12 +355,12 @@ def test_poly_writer_matches_dumps(polys):
     # level 1: a field of the series document; level 2: an entry of the
     # charpoly "coeffs" list
     for poly in polys:
-        assert cli._json_document({"lhs": cli._poly_json(poly, 1)}) == dumps(
-            {"lhs": poly.to_json_terms()})
-    assert cli._json_document({
-        "coeffs": cli._json_list([cli._poly_json(poly, 2) for poly in polys], 1),
+        assert written({"lhs": lambda write: cli._poly_json(write, poly, 1)}) == dumps(
+            {"lhs": poly.to_json_terms()}) + "\n"
+    assert written({
+        "coeffs": lambda write: cli._poly_list_json(write, polys, 1),
         "m": "3",
-    }) == dumps({"coeffs": [poly.to_json_terms() for poly in polys], "m": 3})
+    }) == dumps({"coeffs": [poly.to_json_terms() for poly in polys], "m": 3}) + "\n"
 
 
 _combinations = st.integers(2, 4).flatmap(lambda m: st.tuples(
@@ -367,10 +376,10 @@ def test_combination_writer_matches_dumps(case):
     params, letters, scale = case
     terms = {w: c * scale for w, c in normal_form(letters, params).terms.items()}
     for combination in (NCombination(terms, params), NCombination({}, params)):
-        assert cli._json_document({
-            "terms": cli._combination_json(combination, 1),
-            "word": cli._json_list([str(c) for c in letters], 1),
-        }) == dumps({"terms": combination.to_json_obj(), "word": letters})
+        assert written({
+            "terms": lambda write: cli._combination_json(write, combination, 1),
+            "word": lambda write: cli._json_list(write, map(str, letters), 1),
+        }) == dumps({"terms": combination.to_json_obj(), "word": letters}) + "\n"
 
 
 def _series_obj(m, k, cap):
@@ -404,3 +413,62 @@ def test_json_tables_equal_object_form(argv, capsys):
     assert out == dumps(JSON_TABLES[argv]()) + "\n"
     if argv[:3] == ("series", "--m", "10"):
         assert '"t_10"' in out and '"t_2"' in out
+
+
+class RecordingStdout:
+    """A stdout that keeps each `write` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+STREAMED_TABLES = {
+    ("charpoly", "--m", "5", "--matrix", "symbolic"): lambda: _charpoly_obj(SymMatrix.symbolic(5)),
+    ("normal-form", "--m", "4", "--k", "4", "--word", "4,3,2,1,4,3,2,1"):
+        lambda: _normal_form_obj(4, 4, (4, 3, 2, 1, 4, 3, 2, 1)),
+    ("series", "--m", "4", "--k", "3", "--cap", "6"): lambda: _series_obj(4, 3, 6),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STREAMED_TABLES), ids=" ".join)
+def test_json_tables_are_written_term_by_term(argv, monkeypatch):
+    # the tables reach stdout in pieces no longer than a few terms, so no
+    # whole table or document is held as one string
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main([*argv, "--format", "json"]) == 0
+    text = "".join(stdout.writes)
+    assert text == dumps(STREAMED_TABLES[argv]()) + "\n"
+    assert max(map(len, stdout.writes)) <= 2048 < len(text) // 20
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_141_in_process(fmt, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["charpoly", "--m", "3", "--matrix", "symbolic", "--format", fmt]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # `macmahon ... | head -c 100`: the reader goes away mid-document
+    argv = [sys.executable, "-m", "macmahon", "charpoly", "--m", "7",
+            "--matrix", "symbolic", "--format", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert head.startswith(b'{\n  "coeffs": [') and len(head) == 100
+    assert (code, stderr) == (141, b"")
