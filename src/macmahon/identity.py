@@ -7,80 +7,76 @@ the series sum over admissible words i of g(i) t_{i_1} ... t_{i_l}.  The
 identity states that this series times the second factor (`charpoly`)
 equals 1.
 
-`first_factor` and `first_factor_totals` share one depth-first sweep over
-all words j of length <= cap.  Expanding the product of the y's gives
+Both routes below walk the words j of length <= cap depth first.
+Expanding the product of the y's gives
 g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where c(i, j) is
 the coefficient of x_i in the normal form NF(j) of x_{j_1} ... x_{j_l}.
-The sweep gets NF(j) from NF(j_2 ... j_l) by left-multiplying each term
-with x_{j_1}, and hands the weight of each term of NF(j) to a sink; a
-word whose coefficient cancels leaves the weights too, so a sink sees only
-the live terms.  Its cost is the sum over j of |NF(j)|, and only the cap
-normal forms on the current path of the walk are live at any time.
+A walk gets NF(j) from NF(j_2 ... j_l) by left-multiplying each term
+with x_{j_1}; a word whose coefficient cancels leaves the node, so only
+live terms are weighed.  Its cost is the sum over j of |NF(j)|, and only
+the cap normal forms on the current path of the walk are live at any time.
 
-Two sinks read the one sweep.  The per-word sink of `first_factor` adds
-each weight to g(i).  `verify_master` reads only the per-content totals
-FF_gamma, the sum of g(i) over the words i of content gamma (the letter
-counts), because all words of one content share their t-monomial.
-Rewriting preserves content, so every term of NF(j) has the content of j;
-the sweep carries that content along its path, and the per-content sink
-of `first_factor_totals` adds each node's total weight to it.  `verify`
-thus never builds the per-word table; `FirstFactorSeries.series()` sums
-that table per content and serves as the cross-check.
+Almost every left-multiplication x_a * w is already admissible, and then
+the term (a,) + w of the child inherits a_aa times the weight of w.  Only
+the prepends whose front k-window is strictly decreasing are rewritten and
+cached, by `rewrite.PrependRewriter` (all rewriting lives in `rewrite`).
+The rewritten terms of a child are summed per word first, and each word
+whose sum is nonzero is weighed once, against the columns of A for the
+letters of j, which the walk carries along its path: the child (a,) + j
+gets column a in front of its parent's.  The children of a node depend
+only on its content (its letter counts), so each content's list of
+children is built once per walk.  The weight is linear in c, so the last
+level (len(j) = cap) is never built: each node of length cap - 1 sums its
+leaves' kept and rewritten terms directly.
 
-The weight c(i, j) a_{i_1 j_1} ... a_{i_l j_l} of each term is carried
-along the path: almost every left-multiplication x_a * w is already
-admissible, and then the term (a,) + w of the child inherits a_aa times
-the weight of w.  Only the prepends whose front k-window is strictly
-decreasing are rewritten and cached, by `rewrite.PrependRewriter` (all
-rewriting lives in `rewrite`).  The rewritten terms of a child are summed
-per word first, and each word whose sum is nonzero is weighed once,
-against the columns of A for the letters of j, which the walk carries
-along its path: the child (a,) + j gets column a in front of its
-parent's.  The children of a node depend only on its content, so each
-content's list of (letter, child content), with the hull test of the
-pruned sweep below applied, is built once per sweep.
+`first_factor` walks every word with the entries of A as weights and adds
+each weight to g(i) (`_sweep` with `_WordSink`).  `verify_master` and
+`first_factor_totals` read only the per-content totals FF_gamma, the sum
+of g(i) over the words i of content gamma, because all words of one
+content share their t-monomial; rewriting preserves content, so every
+term of NF(j) has the content of j.
 
-The weight is linear in the coefficient c, so the last level of the
-sweep (len(j) = cap, about (m-1)/m of all nodes) is never built: each
-node of length cap - 1 hands the sink, in one call, its kept terms,
-which leaf a keeps with a_aa times their weight, and for each leaf the
-weighed normal forms of its rewritten terms, merged into one weight per
-word.  The per-content sink sums the kept weights first, so it
-multiplies by a_aa once per letter.
+These totals come from one table that does not depend on A.  Relabelling
+the generators by a permutation s of {1..m} is an algebra automorphism,
+because the relations (the antisymmetrizers) span a GL_m-stable space.
+The first factor is the graded trace of the map x_i -> sum_j t_i a_ij x_j
+on the algebra, so it is unchanged by conjugating that map with s:
+FF_gamma(A) = FF_{gamma o s}(A^s), where A^s_pq = A_{s(p) s(q)}.  Each
+term the walk weighs is c(i, j) times a monomial in the entries, so
+FF_lambda(A) is U_lambda, the total of the generic matrix (a_pq), with
+each a_pq replaced by A_pq; U depends only on (m, k, cap).  So for a
+partition lambda (c_1 >= ... >= c_m) and any s with gamma_{s(i)} =
+lambda_i, FF_gamma(A) is U_lambda evaluated at a_pq = A_{s(p) s(q)}.
 
-Relabelling the generators by a permutation s of {1..m} is an algebra
-automorphism, because the relations (the antisymmetrizers) span a
-GL_m-stable space.  The first factor is the graded trace of the map
-x_i -> sum_j t_i a_ij x_j on the algebra, so it is unchanged by
-conjugating that map with s: FF_gamma(A) = FF_{gamma o s}(A^s), where
-A^s_ij = A_{s(i) s(j)}.  When A is invariant under relabelling, that is
-A^s = rho_s(A) for every s, where rho_s renames each a_pq to
-a_{s(p) s(q)}, the totals of the partitions lambda (c_1 >= ... >= c_m)
-fix all others: if gamma_{s(i)} = lambda_i, then
-FF_gamma = rho_s(FF_lambda).  The generic symbolic matrix is invariant,
-and a numeric matrix is exactly when it is alpha*I + beta*J, where rho_s
-does nothing.  For such matrices `first_factor_totals` sweeps only the
+`_universal_sweep` computes U for the partitions only.  It walks just the
 words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
-size <= cap: every suffix of such a word is such a word too, and the
-words of partition content are among them.  The one per-content sink
-reads this sweep too.  Every word of a content whose hull fits in the
-cap is swept, so the sink's totals of these contents are exact;
-`first_factor_totals` keeps them and renames the partition totals into
-the contents whose hull is larger, by moving each digit of their packed
-monomials (below) to its renamed variable's place.
-The per-word table of `first_factor` always comes from the full sweep.
+size <= cap: every suffix of such a word is such a word too, the words of
+partition content are among them, and no other word has a descendant of
+partition content within the cap.  On the generic matrix a term's weight
+is c times one monomial, packed into one int (`polyring.PackedCodec`,
+one digit per a_pq), so a kept prepend adds the key of a_aa, a rewritten
+word sums the keys of its column entries, and the walk adds c into
+{key: c} for each partition; no scalar product runs in it.  `_specialise`
+then forms every content's total from its partition's: it reads the
+digits of each key of U_lambda once and evaluates the term at each
+relabelling of A, skipping the terms on zero entries.  Numeric entries
+(int or `Fraction`) are multiplied as scalars; every other entry is
+packed in the codec of A's own variables, so that multiplying two
+monomials is again one integer addition.  For the generic matrix itself
+this is the renaming a_pq -> a_{s(p) s(q)} of U_lambda's keys.
 
-No `Poly` arithmetic runs in the sweep, its sinks or the product that
-`verify_master` checks.  A numeric entry stays a scalar; every other
-entry becomes a packed weight, a map from monomials packed into one int
-(`polyring.PackedCodec`) to coefficients, so multiplying two monomials
-is one integer addition.  The sinks add up packed weights and decode to
-`Poly` once, at the end.  `verify_master` gives each content total its
-t-monomial by adding the content's t-digits to its keys, multiplies it
-with the packed second factor bucket by bucket of t-degree, counts the
-nonzero terms of each degree's residual, and decodes only the first
-failing degree for the report.  `FirstFactorSeries.series()` and
-`g_coefficient` stay in `Poly` as oracles.
+The table costs its whole walk even where A has many zeros, whose terms
+a walk of A itself would not weigh, so on the identity matrix `verify`
+is slower than such a walk at some depths (README).
+
+No `Poly` arithmetic runs in the walks, the specialisation or the product
+that `verify_master` checks; the totals are decoded to `Poly` once, at
+the end.  `verify_master` gives each content total its t-monomial by
+adding the content's t-digits to its keys, multiplies it with the packed
+second factor bucket by bucket of t-degree, counts the nonzero terms of
+each degree's residual, and decodes only the first failing degree for the
+report.  `FirstFactorSeries.series()` and `g_coefficient` stay in `Poly`
+as oracles.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -90,14 +86,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
 from itertools import product as iter_product
-from operator import ge, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from operator import ge, getitem, mul
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .charpoly import SymMatrix, _second_factor_degrees, alpha, enumerate_partial_perms, second_factor
-from .polyring import (PackedCodec, Poly, Scalar, TruncatedSeries, avar, mono_mul, mono_t_degree,
-                       rename_vars, tvar, word_t_monomial)
+from .polyring import (PackedCodec, Poly, Scalar, TruncatedSeries, avar, mono_mul, mono_t_degree, tvar,
+                       word_t_monomial)
 from .rewrite import PrependRewriter, _accumulate, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
@@ -192,11 +187,10 @@ def _hull_size(content: tuple) -> int:
     return size
 
 
-def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
-           pruned: bool = False) -> None:
+def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink) -> None:
     # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
     # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
-    # the sink adds to g(i) or to the total of the content of j.
+    # the sink adds to g(i).
     # A term w whose prepend (a,) + w stays admissible passes to the child
     # with weight a_aa times its own; the other terms are rewritten and
     # summed per word, and each word is weighed once against the columns
@@ -210,9 +204,6 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
     # a <= head, and its fronts [(content, {word: weight})]: for each leaf
     # with a live rewritten word, the weighed normal forms of its
     # rewritten terms summed per word.
-    # When `pruned`, only the words whose partition hull has size <= cap
-    # are built; on the last level these are the words of partition
-    # content, but the built nodes have other contents too.
     m = params.m
     rewriter = PrependRewriter(params)
     front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
@@ -232,8 +223,6 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink,
         if children is None:
             children = [(a, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
                         for a in range(1, m + 1)]
-            if pruned:
-                children = [child for child in children if _hull_size(child[1]) <= cap]
             child_table[content] = children
         if len(cols) + 1 == cap:
             # the weight is linear in c, so the last level is never built:
@@ -330,100 +319,139 @@ class _WordSink:
                 self.add(u, weight)
 
 
-class _ContentSink:
-    """FF_gamma = sum of g(i) over the words i of content gamma.
+class _Universal(NamedTuple):
+    """The first-factor totals U_lambda of the generic matrix (a_pq), one
+    per partition lambda, each as {key: c}: the key packs the exponents of
+    the a_pq in `codec`, whose digit (p - 1) * m + q - 1 is that of a_pq.
+    `nodes` counts the words the sweep built and `leaves` the words of
+    length cap it summed without building them."""
 
-    Every term of NF(j) has the content of j, so each node adds its total
-    weight once, keyed by the letter counts of j, and no word is read."""
+    totals: dict[tuple, dict[int, int]]
+    codec: PackedCodec
+    nodes: int
+    leaves: int
 
-    def __init__(self) -> None:
-        self.sums: dict[tuple, Weight] = {}
 
-    def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
-        # `+=`, not sum(): sum() adds by `+`, which copies a packed total
-        total = self.sums.get(content, 0)
-        for weight in weights.values():
-            total += weight
-        self.sums[content] = total
+def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
+    # The sweep of `_sweep` on the generic matrix, reduced to the words
+    # whose partition hull has size <= cap.  Every weight is c times one
+    # monomial, so a term of NF(j) is (c, key): a kept prepend adds the key
+    # of a_aa, and a rewritten word sums the keys of its column entries,
+    # cols[s][b] = key of a_{b j_s}.  A word's key depends only on the word
+    # and j, so a rewritten word that meets a kept one just adds its c.
+    # Only the totals of partition contents are kept: the others follow by
+    # relabelling (`_specialise`).  The last level (len(j) = cap, all of
+    # partition content) is summed from its parent and never built.
+    m = params.m
+    # a word of length l <= cap has l entries, so no exponent exceeds cap
+    codec = PackedCodec([avar(p, q) for p in range(1, m + 1) for q in range(1, m + 1)], max(cap, 1) + 1)
+    places = codec.places
+    rewriter = PrependRewriter(params)
+    front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
+    diagonals = [places[avar(a, a)] for a in range(1, m + 1)]
+    # columns[b - 1][a] = key of a_ab (index 0 unused)
+    columns = [(None, *(places[avar(a, b)] for a in range(1, m + 1))) for b in range(1, m + 1)]
+    totals: dict[tuple, dict[int, int]] = {}
+    # (a, content of (a,) + j, its totals or None) for each letter a whose
+    # child fits the hull, by the content of j
+    child_table: dict[tuple, list[tuple[int, tuple, Optional[dict]]]] = {}
+    nodes = leaves = 0
 
-    def last_level(self, children: list, diagonals: list[Weight], terms: list, fronts: list) -> None:
-        # x_a * w stays admissible exactly when a <= head(w), so the kept
-        # terms of child a are those with head >= a; the suffix sums run
-        # over every head, since a pruned sweep may hand over only some
-        # of the children
-        kept: list[Weight] = [0] * len(diagonals)
-        for _, _, weight, head in terms:
-            if weight:
-                kept[head - 1] += weight
-        for a in range(len(diagonals) - 1, 0, -1):
-            kept[a - 1] += kept[a]
-        sums = self.sums
-        for a, content in children:
+    def visit(cols: list, content: tuple, coeffs: dict[Word, int], keys: dict[Word, int],
+              sums: Optional[dict]) -> None:
+        nonlocal nodes, leaves
+        nodes += 1
+        if sums is not None:
+            for w, c in coeffs.items():
+                key = keys[w]
+                sums[key] = sums.get(key, 0) + c
+        if len(cols) == cap:
+            return
+        terms = [(w, c, keys[w], heads.get(w[:front_len], m)) for w, c in coeffs.items()]
+        children = child_table.get(content)
+        if children is None:
+            children = []
+            for a in range(1, m + 1):
+                child = content[:a - 1] + (content[a - 1] + 1,) + content[a:]
+                if _hull_size(child) <= cap:
+                    partition = all(map(ge, child, child[1:]))
+                    children.append((a, child, totals.setdefault(child, {}) if partition else None))
+            child_table[content] = children
+        if len(cols) + 1 == cap:
+            leaves += len(children)
+            for a, _, leaf_sums in children:
+                diagonal = diagonals[a - 1]
+                merged: dict[Word, int] = {}
+                for w, c, key, head in terms:
+                    if a > head:
+                        for u, coeff in front((a,) + w).items():
+                            merged[u] = merged.get(u, 0) + c * coeff
+                    else:
+                        key += diagonal
+                        leaf_sums[key] = leaf_sums.get(key, 0) + c
+                if merged:
+                    leaf_cols = [columns[a - 1], *cols]
+                    for u, c in merged.items():
+                        if c:
+                            key = sum(map(getitem, leaf_cols, u))
+                            leaf_sums[key] = leaf_sums.get(key, 0) + c
+            return
+        for a, child_content, child_sums in children:
             diagonal = diagonals[a - 1]
-            if diagonal and kept[a - 1]:
-                total = sums.get(content, 0)
-                total += diagonal * kept[a - 1]
-                sums[content] = total
-        for content, weighed in fronts:
-            total = sums.get(content, 0)
-            for weight in weighed.values():
-                total += weight
-            sums[content] = total
+            child: dict[Word, int] = {}
+            child_keys: dict[Word, int] = {}
+            fresh: dict[Word, int] = {}
+            for w, c, key, head in terms:
+                if a > head:
+                    for u, coeff in front((a,) + w).items():
+                        fresh[u] = fresh.get(u, 0) + c * coeff
+                else:
+                    word = (a,) + w
+                    child[word] = c
+                    child_keys[word] = key + diagonal
+            child_cols = [columns[a - 1], *cols]
+            for u, c in fresh.items():
+                if not c:
+                    continue
+                kept = child.get(u)
+                if kept is None:
+                    child[u] = c
+                    child_keys[u] = sum(map(getitem, child_cols, u))
+                elif kept + c:
+                    child[u] = kept + c
+                else:
+                    del child[u], child_keys[u]
+            visit(child_cols, child_content, child, child_keys, child_sums)
 
-    def totals(self) -> dict[tuple, dict]:
-        """{content: {packed monomial: coeff}}, zero totals left out."""
-        out = {}
-        for content, total in self.sums.items():
-            packed = _packed(total)
-            if packed:
-                out[content] = packed
-        return out
-
-
-def _relabelling(s: Sequence[int]) -> dict:
-    """rho_s as a variable map: a_pq -> a_{s(p) s(q)}, with s 0-based."""
-    return {avar(p + 1, q + 1): avar(s[p] + 1, s[q] + 1)
-            for p in range(len(s)) for q in range(len(s))}
-
-
-def _relabelling_invariant(matrix: SymMatrix) -> bool:
-    """Whether A_{s(i) s(j)} = rho_s(A_ij) for every permutation s.
-
-    The s for which this holds form a group (rho_s rho_u = rho_{su}), so
-    the transposition (1 2) and the cycle (1 2 ... m), which generate S_m,
-    are enough to check.
-    """
-    m, entries = matrix.m, matrix.entries
-    for s in ((1, 0, *range(2, m)), (*range(1, m), 0)):
-        names = _relabelling(s)
-        for i in range(m):
-            for j in range(m):
-                if rename_vars(entries[i][j], names) != entries[s[i]][s[j]]:
-                    return False
-    return True
+    visit([], (0,) * m, {(): 1}, {(): 0}, totals.setdefault((0,) * m, {}))
+    live = {}
+    for partition, sums in totals.items():
+        table = {key: c for key, c in sums.items() if c}
+        if table:
+            live[partition] = table
+    return _Universal(live, codec, nodes, leaves)
 
 
 def _rearrangements(partition: tuple) -> Iterator[tuple[tuple, tuple]]:
     """Each distinct rearrangement gamma of a partition, once, with an s
     (0-based) such that gamma_{s(i)} = partition_i."""
+    # the rearrangements in lexicographic order, by the next-permutation
+    # step; s lists the places of gamma's parts from the largest down,
+    # equal parts in place order
     m = len(partition)
-    blocks = [len(list(run)) for _, run in groupby(partition)]
-
-    def place(free: tuple, blocks: list[int]) -> Iterator[tuple]:
-        # s lists the positions of the largest part first, then the next
-        if not blocks:
-            yield ()
+    gamma = list(reversed(partition))
+    while True:
+        yield tuple(gamma), tuple(sorted(range(m), key=gamma.__getitem__, reverse=True))
+        i = m - 2
+        while i >= 0 and gamma[i] >= gamma[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for chosen in combinations(free, blocks[0]):
-            rest = tuple(p for p in free if p not in chosen)
-            for tail in place(rest, blocks[1:]):
-                yield chosen + tail
-
-    for s in place(tuple(range(m)), blocks):
-        gamma = [0] * m
-        for i, p in enumerate(s):
-            gamma[p] = partition[i]
-        yield tuple(gamma), s
+        j = m - 1
+        while gamma[j] <= gamma[i]:
+            j -= 1
+        gamma[i], gamma[j] = gamma[j], gamma[i]
+        gamma[i + 1:] = gamma[:i:-1]
 
 
 @dataclass(frozen=True)
@@ -473,14 +501,15 @@ def max_sweep_cap() -> int:
     return sys.getrecursionlimit() // 4
 
 
-def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> tuple[list[list[Weight]], PackedCodec]:
-    # the entries as sweep weights, and the codec that packs them.  Its
-    # variables are the a_pq of the entries and the markers t_1..t_m.  A
-    # weight of a word of length l is a product of l entries, and a term
-    # of t-degree r of the second factor one of r entries, so with E the
-    # largest exponent in an entry, no exponent formed by the sweep or by
-    # verify's product (l + r <= cap) exceeds max(cap, 1) * E: the base is
-    # one more than that
+def _entry_codec(matrix: SymMatrix, params: AlgebraParams, cap: int) -> PackedCodec:
+    # the codec that packs the entries' monomials, after the checks that
+    # every route through the sweep makes.  Its variables are the a_pq of
+    # the entries and the markers t_1..t_m.  A weight of a word of length l
+    # is a product of l entries, and a term of t-degree r of the second
+    # factor one of r entries, so with E the largest exponent in an entry,
+    # no exponent formed by the sweep, by `_specialise` or by verify's
+    # product (l + r <= cap) exceeds max(cap, 1) * E: the base is one more
+    # than that
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     if cap < 0:
@@ -493,7 +522,12 @@ def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> tuple[lis
         raise ValueError("matrix entries must not involve the markers t_i")
     top = max((exp for _, exp in powers), default=1)
     markers = {tvar(i) for i in range(1, params.m + 1)}
-    codec = PackedCodec({var for var, _ in powers} | markers, max(cap, 1) * top + 1)
+    return PackedCodec({var for var, _ in powers} | markers, max(cap, 1) * top + 1)
+
+
+def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> tuple[list[list[Weight]], PackedCodec]:
+    # the entries as weights of the per-word sweep, and their codec
+    codec = _entry_codec(matrix, params, cap)
 
     def weight(entry: Poly) -> Weight:
         if entry.is_constant():
@@ -521,29 +555,94 @@ def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFac
     return FirstFactorSeries(params=params, cap=cap, mode=mode, coeffs=coeffs)
 
 
+def _specialise(universal: _Universal, matrix: SymMatrix, codec: PackedCodec) -> dict[tuple, dict]:
+    # FF_gamma(A) for every content gamma, as {packed monomial: coeff} in
+    # `codec`: with gamma_{s(i)} = lambda_i, it is U_lambda with each a_pq
+    # replaced by A_{s(p) s(q)}.  The digits of each key of U_lambda (digit
+    # (p - 1) * m + q - 1 for a_pq) are read once, as
+    # [(cell, exponent)], and each term is then evaluated at every
+    # relabelling of A; a term on a zero entry is skipped.  Numeric
+    # entries are multiplied as scalars, others as packed terms.  Many
+    # partitions share an s, so each relabelled matrix is formed once.
+    m, base = matrix.m, universal.codec.base
+    if matrix.is_numeric():
+        cells = [value for row in matrix.scalar_rows() for value in row]
+        evaluate = _evaluate_scalar
+    else:
+        cells = [tuple((codec.pack(mono), coeff) for mono, coeff in entry.terms.items())
+                 for row in matrix.entries for entry in row]
+        evaluate = _evaluate_packed
+    relabelled: dict[tuple, list] = {}
+    totals = {}
+    for partition, table in universal.totals.items():
+        terms = []
+        for key, c in table.items():
+            digits = []
+            cell = 0
+            while key:
+                key, exp = divmod(key, base)
+                if exp:
+                    digits.append((cell, exp))
+                cell += 1
+            terms.append((c, digits))
+        for content, s in _rearrangements(partition):
+            cells_s = relabelled.get(s)
+            if cells_s is None:
+                cells_s = relabelled[s] = [cells[s[p] * m + s[q]] for p in range(m) for q in range(m)]
+            total = evaluate(terms, cells_s)
+            if total:
+                totals[content] = total
+    return totals
+
+
+def _evaluate_scalar(terms: list, cells: list[Scalar]) -> dict[int, Scalar]:
+    total = 0
+    for c, digits in terms:
+        for cell, exp in digits:
+            value = cells[cell]
+            if not value:
+                break
+            c *= value ** exp
+        else:
+            total += c
+    return {0: total} if total else {}
+
+
+def _evaluate_packed(terms: list, cells: list[tuple]) -> dict[int, Scalar]:
+    # the entries of one term that are single monomials only add keys and
+    # multiply coefficients; the others are multiplied out term by term
+    acc: dict[int, Scalar] = {}
+    for c, digits in terms:
+        key = 0
+        factors = []
+        for cell, exp in digits:
+            entry = cells[cell]
+            if not entry:
+                break
+            if len(entry) == 1:
+                (key1, coeff1), = entry
+                key += key1 * exp
+                c *= coeff1 ** exp
+            else:
+                factors += [entry] * exp
+        else:
+            product = [(key, c)]
+            for entry in factors:
+                merged: dict[int, Scalar] = {}
+                for key, coeff in product:
+                    for key1, coeff1 in entry:
+                        merged[key + key1] = merged.get(key + key1, 0) + coeff * coeff1
+                product = [(key, coeff) for key, coeff in merged.items() if coeff]
+            for key, coeff in product:
+                acc[key] = acc.get(key, 0) + coeff
+    return {key: coeff for key, coeff in acc.items() if coeff}
+
+
 def _packed_totals(matrix: SymMatrix, params: AlgebraParams,
                    cap: int) -> tuple[dict[tuple, dict], PackedCodec]:
     # FF_gamma as {content: {packed monomial: coeff}}, with the codec
-    rows, codec = _sweep_rows(matrix, params, cap)
-    pruned = _relabelling_invariant(matrix)
-    sink = _ContentSink()
-    _sweep(rows, params, cap, sink, pruned)
-    totals = sink.totals()
-    if not pruned:
-        return totals, codec
-    # every word of a content whose hull fits in the cap was swept, so its
-    # total is exact; the partitions are among these contents, and their
-    # totals renamed give the contents whose hull is larger
-    names: dict[tuple, dict] = {}  # rho_s for each s met, shared by many partitions
-    for partition, total in list(totals.items()):
-        if not all(map(ge, partition, partition[1:])):
-            continue
-        for content, s in _rearrangements(partition):
-            if _hull_size(content) > cap:
-                if s not in names:
-                    names[s] = _relabelling(s)
-                totals[content] = codec.rename(total, names[s])
-    return totals, codec
+    codec = _entry_codec(matrix, params, cap)
+    return _specialise(_universal_sweep(params, cap), matrix, codec), codec
 
 
 def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> dict[tuple[int, ...], Poly]:
@@ -552,14 +651,12 @@ def first_factor_totals(matrix: SymMatrix, params: AlgebraParams, cap: int) -> d
     A content is the tuple (c_1, ..., c_m) of letter counts, with
     c_1 + ... + c_m <= cap; contents whose total is zero are left out.
 
-    When the matrix is invariant under relabelling the generators (the
-    generic symbolic matrix, or numerically alpha*I + beta*J), only the
-    words whose partition hull has size <= cap are swept, and each total
-    of a content gamma whose hull is larger is the total of its partition
-    lambda with the a_pq renamed: FF_gamma = rho_s(FF_lambda) for any s
-    with gamma_{s(i)} = lambda_i, since relabelling is an automorphism of
-    the algebra (see the module docstring).  Other matrices take the full
-    sweep.
+    The totals come from one table that depends only on (m, k, cap): the
+    totals U_lambda of the generic matrix (a_pq) for the partitions lambda,
+    swept only over the words whose partition hull has size <= cap.  Each
+    FF_gamma(A) is then U_lambda evaluated at a_pq = A_{s(p) s(q)}, for
+    any s with gamma_{s(i)} = lambda_i, since relabelling the generators
+    is an automorphism of the algebra (see the module docstring).
     """
     totals, codec = _packed_totals(matrix, params, cap)
     return {content: codec.decode(total) for content, total in totals.items()}

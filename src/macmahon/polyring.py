@@ -334,24 +334,6 @@ class PackedCodec:
         """The `Poly` of {packed monomial: coeff}."""
         return Poly({self.unpack(key): coeff for key, coeff in terms.items()})
 
-    def rename(self, terms: Mapping[int, Scalar], names: Mapping[VarKey, VarKey]) -> dict:
-        """{packed monomial: coeff} with each variable v replaced by
-        names.get(v, v): every digit moves to its new variable's place.
-
-        The renaming must be one-to-one on the variable list."""
-        places = [self.places[names.get(var, var)] for var in self.variables]
-        base = self.base
-        out = {}
-        for key, coeff in terms.items():
-            renamed = 0
-            for place in places:
-                if not key:
-                    break
-                key, exp = divmod(key, base)
-                renamed += exp * place
-            out[renamed] = coeff
-        return out
-
 
 def apply_transposition(poly: Poly, i: int) -> Poly:
     """Swap the markers t_i and t_{i+1} everywhere in `poly`."""

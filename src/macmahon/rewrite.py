@@ -225,8 +225,10 @@ class PrependRewriter:
     def times(self, a: int, vec: dict[Word, int]) -> dict[Word, int]:
         """x_a times a combination of admissible words."""
         out: dict[Word, int] = {}
+        heads, front_len, m = self.heads, self.k - 1, self.m
         for w, c in vec.items():
-            if a > self.head(w):
+            # head(w), read inline: this loop fills the cache of the sweep
+            if a > heads.get(w[:front_len], m):
                 for u, coeff in self.front((a,) + w).items():
                     _accumulate(out, u, c * coeff)
             else:

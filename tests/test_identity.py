@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,17 +8,17 @@ from macmahon import cli, identity
 from macmahon.charpoly import SymMatrix, alpha, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
-    _relabelling_invariant,
     _report_from_residuals,
     _sweep,
     _sweep_rows,
+    _universal_sweep,
     first_factor,
     first_factor_totals,
     g_coefficient,
     verify_corollary,
     verify_master,
 )
-from macmahon.polyring import PackedCodec, Poly, TruncatedSeries, avar, tvar, word_t_monomial
+from macmahon.polyring import Poly, TruncatedSeries, avar, tvar, word_t_monomial
 from macmahon.rewrite import PrependRewriter, _normal_form_terms, reversion_vector
 from macmahon.words import AlgebraParams, enumerate_admissible, is_admissible
 
@@ -285,9 +285,22 @@ def test_verify_master_symbolic_small():
 @pytest.mark.parametrize("matrix", [SymMatrix.ones(5), SymMatrix.random(5, seed=1),
                                     SymMatrix.symbolic(5)])
 def test_verify_where_kept_and_rewritten_terms_collide(matrix):
-    # these reach the merge of a kept prepend x_a * w with the same word
-    # from a rewritten term of the same node, which no smaller case here does
+    # in a sweep of all words these reach the merge of a kept prepend
+    # x_a * w with the same word from a rewritten term of the same node;
+    # the hull-pruned sweep of verify reaches it only at larger caps (next
+    # test)
     assert verify_master(matrix, AlgebraParams(5, 3), 6).passed
+
+
+@pytest.mark.parametrize("m,cap", [(3, 9), (5, 7)])
+def test_universal_sweep_merges_a_rewritten_word_into_a_kept_one(m, cap):
+    # the smallest hull-pruned sweeps in which a rewritten term of a built
+    # node lands on a kept prepend of the same word (3-3-9 first at
+    # (3, 1, 2, 1, 3, 2, 3), 5-3-7 only at (4, 1, 2, 2, 3, 5)); the merge
+    # must add the two coefficients
+    params = AlgebraParams(m, 3)
+    for matrix in (SymMatrix.random(m, seed=1), SymMatrix.ones(m)):
+        assert verify_master(matrix, params, cap).passed
 
 
 def test_report_json_shape():
@@ -429,7 +442,7 @@ SCALARS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
 
 
 def scalar_plus_ones(m, alpha, beta):
-    # alpha*I + beta*J, invariant under relabelling the generators
+    # alpha*I + beta*J
     return SymMatrix.from_rows([[alpha * (i == j) + beta for j in range(m)] for i in range(m)])
 
 
@@ -460,8 +473,8 @@ def polynomial_entry(draw, m):
 
 @st.composite
 def sweep_cases(draw):
-    # arbitrary entries take the full sweep; the symbolic matrix and
-    # alpha*I + beta*J take the sweep reduced to partition contents
+    # arbitrary numbers, the symbolic matrix, alpha*I + beta*J and
+    # polynomial entries
     family = draw(st.sampled_from(("entries", "symbolic", "scalar", "polynomial")))
     m = draw(st.integers(2, 4 if family in ("symbolic", "scalar") else 3))
     params = AlgebraParams(m, draw(st.integers(2, m)))
@@ -555,13 +568,12 @@ MERGE_CANCEL = (SymMatrix.from_rows([[0, 2, -1], [0, 3, 1], [-2, 0, 0]]), P33, 6
 @example((SymMatrix.symbolic(4), AlgebraParams(4, 3), 3))
 @example((scalar_plus_ones(4, Fraction(1, 2), Fraction(-2, 3)), AlgebraParams(4, 4), 4))
 @example((SymMatrix.ones(3), P32, 5))
-# the transpose of the symbolic matrix is invariant too
+# the transpose of the symbolic matrix
 @example((SymMatrix(3, tuple(zip(*SymMatrix.symbolic(3).entries))), P33, 4))
-# one entry off an invariant matrix: the full sweep
+# one entry off ones and off the symbolic matrix
 @example((with_entry(SymMatrix.ones(3), 1, 2, 2), P33, 5))
 @example((with_entry(SymMatrix.symbolic(3), 0, 1, 2), P33, 4))
-# exponents up to 2 * cap: a digit base of cap + 1 would carry, on the
-# full sweep and on the reduced one, whose renaming moves those digits
+# exponents up to 2 * cap: a digit base of cap + 1 would carry
 @example((SymMatrix.from_rows([[A12 * A12, A12 + 2 * Poly.variable(avar(2, 1))],
                                [3, Poly.variable(avar(2, 2)) ** 2]]), P22, 4))
 @example((squared(SymMatrix.symbolic(3)), P33, 4))
@@ -570,8 +582,8 @@ MERGE_CANCEL = (SymMatrix.from_rows([[0, 2, -1], [0, 3, 1], [-2, 0, 0]]), P33, 6
 @example((SymMatrix.from_rows([[1, A12, 2], [Poly.variable(avar(2, 1)), 1, 0],
                                [1, 2, Poly.variable(avar(3, 3))]]), P33, 4))
 def test_content_totals_match_per_word_oracles(case):
-    # both sinks of the sweep, the per-content totals and the per-word
-    # table, against the worklist oracle that shares no cache with the sweep
+    # the per-content totals and the per-word table against the worklist
+    # oracle, which shares no cache with either sweep
     matrix, params, cap = case
     expected = {}
     g = {}
@@ -624,58 +636,89 @@ def test_sweep_hands_each_leaf_its_merged_fronts_in_one_call():
         == first_factor_totals(matrix, params, cap)
 
 
-def test_relabelling_invariance():
-    invariant = [
-        SymMatrix.ones(4), SymMatrix.identity(3), SymMatrix.from_rows([[0, 0], [0, 0]]),
-        scalar_plus_ones(3, Fraction(1, 2), Fraction(1, 2)), scalar_plus_ones(5, -2, Fraction(1, 3)),
-        SymMatrix.symbolic(2), SymMatrix.symbolic(4),
-        SymMatrix(3, tuple(zip(*SymMatrix.symbolic(3).entries))),
-    ]
-    for matrix in invariant:
-        assert _relabelling_invariant(matrix)
-    a = Poly.variable(avar(1, 2))
-    not_invariant = [
-        with_entry(SymMatrix.ones(3), 1, 2, 2),
-        with_entry(SymMatrix.ones(4), 3, 3, 0),
-        with_entry(SymMatrix.symbolic(3), 0, 1, 2),
-        # a_12 everywhere: rho_s renames it, so the entries must move with s
-        SymMatrix.from_rows([[a] * 3] * 3),
-        SymMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
-        SymMatrix.random(4, seed=1),
-    ]
-    for matrix in not_invariant:
-        assert not _relabelling_invariant(matrix)
+def per_content(table, m):
+    # the per-word table of the full sweep summed per content
+    totals = {}
+    for word, value in table.coeffs.items():
+        content = tuple(word.count(a) for a in range(1, m + 1))
+        totals[content] = totals.get(content, 0) + value
+    return {content: Poly.constant(total) if not isinstance(total, Poly) else total
+            for content, total in totals.items() if total}
 
 
-def test_totals_prune_exactly_for_invariant_matrices(monkeypatch):
-    # a sweep that silently stayed unreduced would pass every oracle test
-    routes = []
-    real_sweep = identity._sweep
+def is_partition(content):
+    return list(content) == sorted(content, reverse=True)
 
-    def recording_sweep(rows, params, cap, sink, pruned=False):
-        routes.append(pruned)
-        real_sweep(rows, params, cap, sink, pruned)
 
+@pytest.mark.parametrize("params,cap", [(P33, 5), (AlgebraParams(4, 3), 4), (AlgebraParams(4, 2), 4),
+                                        (AlgebraParams(3, 2), 6)])
+def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
+    # decoded, the universal table holds exactly the partition totals of the
+    # per-word sweep of the symbolic matrix, which sweeps every word
+    universal = _universal_sweep(params, cap)
+    expected = per_content(first_factor(SymMatrix.symbolic(params.m), params, cap), params.m)
+    assert {partition: universal.codec.decode(table) for partition, table in universal.totals.items()} \
+        == {content: total for content, total in expected.items() if is_partition(content)}
+
+
+def test_every_matrix_takes_the_universal_sweep(monkeypatch):
+    # the content totals and verify sweep the generic matrix once, for any
+    # entries; only the per-word table sweeps the matrix itself
+    universal, full = [], []
+    real_universal, real_sweep = identity._universal_sweep, identity._sweep
+
+    def recording_universal(params, cap):
+        universal.append((params.m, params.k, cap))
+        return real_universal(params, cap)
+
+    def recording_sweep(rows, params, cap, sink):
+        full.append((params.m, params.k, cap))
+        real_sweep(rows, params, cap, sink)
+
+    monkeypatch.setattr(identity, "_universal_sweep", recording_universal)
     monkeypatch.setattr(identity, "_sweep", recording_sweep)
-    for matrix in (SymMatrix.ones(3), SymMatrix.symbolic(3), SymMatrix.identity(3),
-                   with_entry(SymMatrix.ones(3), 0, 0, 2), SymMatrix.random(3, seed=2)):
-        first_factor_totals(matrix, P33, 3)
-        first_factor(matrix, P33, 3)
-    assert routes == [True, False] * 3 + [False, False] * 2
+    matrices = {
+        "int": SymMatrix.from_rows([[2, 0, -1], [0, 3, 0], [1, 0, -2]]),
+        "fraction": SymMatrix.from_rows([[Fraction(1, 2), 0, 2], [Fraction(-1, 3), 1, 0], [0, 1, 0]]),
+        "ones": SymMatrix.ones(3),
+        "identity": SymMatrix.identity(3),
+        "random": SymMatrix.random(3, seed=2),
+        "symbolic": SymMatrix.symbolic(3),
+        "polynomial": SymMatrix.from_rows([[1, A12, 2], [Poly.variable(avar(2, 1)), 1, 0],
+                                           [1, 2, A12 * A12]]),
+    }
+    for name, matrix in matrices.items():
+        totals = first_factor_totals(matrix, P33, 4)
+        assert verify_master(matrix, P33, 4).passed, name
+        assert (universal, full) == ([(3, 3, 4)] * 2, []), name
+        assert totals == per_content(first_factor(matrix, P33, 4), 3), name
+        assert (universal, full) == ([(3, 3, 4)] * 2, [(3, 3, 4)]), name
+        universal.clear()
+        full.clear()
 
 
-class SweepCounts:
-    """A sink that counts what the sweep builds and ignores the weights."""
+@pytest.mark.parametrize("matrix", [SymMatrix.ones(3), SymMatrix.symbolic(3)])
+def test_specialise_forms_every_content_from_its_partition(matrix):
+    # the universal table keeps partition contents only; every other
+    # content, those whose hull fits in the cap among them, is formed from
+    # its partition's total and equals the full sweep's total
+    universal = _universal_sweep(P33, 5).totals
+    assert universal and all(is_partition(content) for content in universal)
+    totals = first_factor_totals(matrix, P33, 5)
+    assert totals == per_content(first_factor(matrix, P33, 5), 3)
+    fitting = {content for content in totals if not is_partition(content) and content_hull_size(content) <= 5}
+    larger = {content for content in totals if content_hull_size(content) > 5}
+    assert fitting and larger
 
-    def __init__(self):
-        self.nodes = 0
-        self.leaves = 0
 
-    def node(self, content, weights):
-        self.nodes += 1
-
-    def last_level(self, children, diagonals, terms, fronts):
-        self.leaves += len(children)
+@pytest.mark.parametrize("partition", [(0,), (2, 0), (1, 1), (3, 3, 1, 0), (2, 2, 2, 2), (5, 0, 0, 0, 0),
+                                       (3, 2, 2, 1, 1, 0), (4, 3, 2, 1)])
+def test_rearrangements_are_distinct_and_relabel_the_partition(partition):
+    pairs = list(identity._rearrangements(partition))
+    assert sorted(gamma for gamma, _ in pairs) == sorted(set(permutations(partition)))
+    for gamma, s in pairs:
+        assert sorted(s) == list(range(len(partition)))
+        assert all(gamma[s[i]] == part for i, part in enumerate(partition))
 
 
 def hull_size(word, m):
@@ -697,57 +740,62 @@ def content_hull_size(content):
 ])
 def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
     # the words j with hull size <= cap, counted by brute force; the last
-    # level (len(j) = cap) is not built but handed to the sink as children
+    # level (len(j) = cap) is not built but summed from its parents
     within = [0] * (cap + 1)
     for length in range(cap + 1):
         for j in product(range(1, m + 1), repeat=length):
             if hull_size(j, m) <= cap:
                 within[length] += 1
     assert (sum(within[:cap]), within[cap]) == (nodes, leaves)
-    params = AlgebraParams(m, 2)
-    counts = SweepCounts()
-    rows, _ = _sweep_rows(SymMatrix.identity(m), params, cap)
-    _sweep(rows, params, cap, counts, pruned=True)
-    assert (counts.nodes, counts.leaves) == (nodes, leaves)
+    universal = _universal_sweep(AlgebraParams(m, 2), cap)
+    assert (universal.nodes, universal.leaves) == (nodes, leaves)
 
 
-@pytest.mark.parametrize("matrix", [SymMatrix.ones(3), SymMatrix.symbolic(3)])
-def test_pruned_sweep_sums_exactly_the_partition_contents(monkeypatch, matrix):
-    # the pruned sweep sums every content whose hull fits in the cap whole,
-    # the partition contents among them
-    rows, codec = _sweep_rows(matrix, P33, 5)
-    full = identity._ContentSink()
-    _sweep(rows, P33, 5, full)
-    pruned = identity._ContentSink()
-    _sweep(rows, P33, 5, pruned, pruned=True)
-    kept = pruned.totals()
-    assert kept == {content: total for content, total in full.totals().items()
-                    if content_hull_size(content) <= 5}
-    partitions = {content for content in kept if list(content) == sorted(content, reverse=True)}
-    assert kept.keys() > partitions
-    # renaming a partition total gives the same total on each of its
-    # rearrangements that the sweep summed
-    checked = set()
-    for partition in partitions:
-        for content, s in identity._rearrangements(partition):
-            if content_hull_size(content) <= 5:
-                checked.add(content)
-                assert codec.rename(kept[partition], identity._relabelling(s)) == kept.get(content, {})
-    assert checked >= kept.keys()
-    # so the reduced route renames only into the contents whose hull is
-    # larger than the cap: one rename per such content
-    renamed = []
-    rename = PackedCodec.rename
-    monkeypatch.setattr(PackedCodec, "rename",
-                        lambda codec, terms, names: renamed.append(names) or rename(codec, terms, names))
-    totals = first_factor_totals(matrix, P33, 5)
-    assert len(renamed) == sum(1 for content in totals if content_hull_size(content) > 5) > 0
+@st.composite
+def zero_pattern_cases(draw):
+    # int, Fraction or polynomial entries on a drawn zero pattern
+    family = draw(st.sampled_from(("int", "fraction", "polynomial")))
+    m = draw(st.integers(2, 4))
+    params = AlgebraParams(m, draw(st.integers(2, m)))
+    cap = draw(st.integers(0, 3 if m == 4 else 4 if family == "polynomial" else 5))
+    zeros = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))))
+    entries = {"int": st.integers(-3, 3).filter(bool),
+               "fraction": st.fractions(-2, 2, max_denominator=4).filter(bool),
+               "polynomial": polynomial_entry(m)}[family]
+    rows = [[0 if (i, j) in zeros else draw(entries) for j in range(m)] for i in range(m)]
+    return SymMatrix.from_rows(rows), params, cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_pattern_cases())
+@example((SymMatrix.from_rows([[0, 2, 0, 1], [0, 0, -1, 0], [3, 0, 0, 0], [0, 1, 0, 2]]), AlgebraParams(4, 3), 3))
+@example((SymMatrix.from_rows([[Fraction(1, 2), 0, 0], [0, 0, Fraction(-3, 4)], [0, 1, 0]]), P32, 5))
+@example((SymMatrix.from_rows([[0, A12 * A12], [Poly.variable(avar(2, 1)) + 2, 0]]), P22, 4))
+def test_universal_table_specialised_at_matrices_with_zeros(case):
+    # the universal table evaluated at A, content by content, against the
+    # sums of the worklist oracle g_coefficient over each content's words
+    matrix, params, cap = case
+    expected = {}
+    for word in admissible_up_to(params, cap):
+        content = tuple(word.count(a) for a in range(1, params.m + 1))
+        expected[content] = expected.get(content, Poly.zero()) + g_coefficient(matrix, word, params)
+    assert first_factor_totals(matrix, params, cap) == {content: total for content, total in expected.items()
+                                                        if total}
 
 
 def test_cap_deeper_than_the_sweep_recursion_is_refused():
     # refused before any work: m >= 2 means more than 2**cap words anyway
     for cap in (1200, 100000):
-        with pytest.raises(ValueError, match="deeper than the sweep can recurse"):
-            first_factor_totals(SymMatrix.identity(2), P22, cap)
-        with pytest.raises(ValueError, match="deeper than the sweep can recurse"):
-            first_factor(SymMatrix.identity(2), P22, cap)
+        for route in (first_factor_totals, first_factor, verify_master):
+            with pytest.raises(ValueError, match="deeper than the sweep can recurse"):
+                route(SymMatrix.identity(2), P22, cap)
+
+
+@pytest.mark.parametrize("route", [first_factor_totals, verify_master, first_factor])
+def test_size_mismatch_and_negative_cap_are_refused(route):
+    with pytest.raises(ValueError, match="does not match"):
+        route(SymMatrix.identity(3), P22, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        route(SymMatrix.symbolic(2), P32, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        route(SymMatrix.identity(2), P22, -1)
