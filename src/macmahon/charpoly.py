@@ -12,8 +12,9 @@ passed: the walk cuts that subtree before the next row.  Each earlier
 row sent to a column above c adds one inversion, and the minus sign of
 -lambda folds into the same parity.  Each choice of one term per factor
 adds one monomial to c_r, r the number of lambda-factors: the path carries
-the chosen terms' (variable, exponent) pairs as one concatenated tuple,
-which the leaf sorts once.  Exponents are added only when a variable
+the ranks of the chosen terms' (variable, exponent) pairs, ranked once per
+call in pair order, as one concatenated tuple of ints, which the leaf
+sorts once and maps back to pairs.  Exponents are added only when a variable
 occurs in the terms of two rows; in TA of a numeric or the symbolic
 matrix none does.
 `enumerate_partial_perms` with `PartialPermutation.a_weight` recomputes
@@ -196,7 +197,14 @@ def scale_rows_by_t(matrix: SymMatrix) -> SymMatrix:
 def char_coeffs(matrix: SymMatrix) -> list[Poly]:
     """Coefficients [c_0, ..., c_m] of det(lambda*I - M) in falling powers."""
     m = matrix.m
-    offers = [[(c, tuple(e.terms.items())) for c, e in enumerate(row) if e.terms]
+    # every (variable, exponent) pair of the entries is ranked once, in pair
+    # order (variable-key order: t_2 before t_10), so the walk carries tuples
+    # of int ranks and a leaf sorts ints instead of nested tuples
+    pairs = sorted({pair for row in matrix.entries for e in row for mono in e.terms for pair in mono})
+    rank = {pair: index for index, pair in enumerate(pairs)}.__getitem__
+    pair_of = pairs.__getitem__
+    offers = [[(c, tuple((tuple(map(rank, mono)), value) for mono, value in e.terms.items()))
+               for c, e in enumerate(row) if e.terms]
               for row in matrix.entries]
     # column c can be filled up to row last[c]: its own row, or its last
     # nonzero entry; need[i] holds the columns that no row from i on can fill
@@ -207,19 +215,19 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
     need = [sum(1 << c for c in range(m) if last[c] < i) for i in range(m)]
     # a leaf multiplies one term per chosen row, so its concatenated pairs
     # repeat a variable only if some variable occurs in the terms of two rows
-    row_vars = [{var for _, terms in row for mono, _ in terms for var, _ in mono}
-                for row in offers]
+    row_vars = [{var for e in row for mono in e.terms for var, _ in mono} for row in matrix.entries]
     repeats = sum(map(len, row_vars)) > len(set().union(*row_vars))
     sums: list[dict] = [{} for _ in range(m + 1)]
 
-    def walk(i: int, used: int, coeff, pairs: tuple, r: int) -> None:
+    def walk(i: int, used: int, coeff, ranks: tuple, r: int) -> None:
         if i == m:
             if repeats:
                 exps: dict = {}
-                for var, exp in pairs:
+                for var, exp in map(pair_of, ranks):
                     exps[var] = exps.get(var, 0) + exp
-                pairs = exps.items()
-            key = tuple(sorted(pairs))
+                key = tuple(sorted(exps.items()))
+            else:
+                key = tuple(map(pair_of, sorted(ranks)))
             acc = sums[r]
             acc[key] = acc.get(key, 0) + coeff
             return
@@ -227,14 +235,14 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
             return
         if not used >> i & 1:
             odd = (used >> i + 1).bit_count() & 1
-            walk(i + 1, used | 1 << i, -coeff if odd else coeff, pairs, r)
+            walk(i + 1, used | 1 << i, -coeff if odd else coeff, ranks, r)
         for c, terms in offers[i]:
             if used >> c & 1:
                 continue
             # the minus sign of -lambda * M[i, c] folds into the inversion parity
             signed = coeff if (used >> c + 1).bit_count() & 1 else -coeff
             for mono, value in terms:
-                walk(i + 1, used | 1 << c, signed * value, pairs + mono, r + 1)
+                walk(i + 1, used | 1 << c, signed * value, ranks + mono, r + 1)
 
     walk(0, 0, 1, (), 0)
     return [Poly(acc) for acc in sums]

@@ -21,13 +21,17 @@ The documents are streamed: each writer passes the text of every term to
 stdout's `write` as soon as it is formed, so memory grows with the
 result, not with copies of its text (`charpoly --m 8 --matrix symbolic`
 writes 40 MB from a CPython 3.11 process that peaks at about 46 MB).
-`_poly_json` writes the text `"name": exp` of each (variable, exponent)
-pair once per call and builds every term from such prebuilt fragments;
-`_combination_json` formats each term with one format string that has a
-field per letter, since all words of a combination have one length.
-Strings go through `json`'s own escaper, scalar fields through
-`json.dumps`, and the small `verify` and `count` documents through
-`json.dumps` whole.
+The text mode of `series` and `charpoly` is streamed the same way:
+`_poly_text` writes each term of a polynomial as `Poly.__str__` joins it.
+Every term is one `%` format.  `_poly_json` fills a template with the
+coefficient and the monomial's entries, and forms the text `"name": exp`
+of each (variable, exponent) pair once per call; `_combination_json`
+fills one with the coefficient and a field per letter, since all words
+of a combination have one length.  The text of an int, Fraction or Poly
+coefficient has no character that JSON escapes, so it goes between the
+quotes as it is.  Keys go through `json`'s own escaper, other scalar
+fields through `json.dumps`, and the small `verify` and `count`
+documents through `json.dumps` whole.
 """
 
 from __future__ import annotations
@@ -152,33 +156,57 @@ def _json_document(write: _Write, fields: dict) -> None:
 
 
 class _Fragments(dict):
-    # the text `"name": exp` of each (var, exp) pair, written once per writer call
+    """The text `form(var, exp)` of each (var, exp) pair, formed once per writer call."""
+
+    def __init__(self, form: Callable[[tuple, int], str]):
+        super().__init__()
+        self.form = form
+
     def __missing__(self, pair: tuple) -> str:
-        text = self[pair] = f"{_quote(var_name(pair[0]))}: {pair[1]}"
+        text = self[pair] = self.form(*pair)
         return text
+
+
+def _poly_text(write: _Write, poly: Poly) -> None:
+    """Write `str(poly)`, one `write` per term."""
+    if not poly.terms:
+        write("0")
+        return
+    # as `Poly.__str__` writes a factor
+    fragment = _Fragments(lambda var, exp: var_name(var) + (f"^{exp}" if exp > 1 else "")).__getitem__
+    minus, plus = "-", ""
+    for mono, coeff in poly.sorted_terms():
+        sign = plus
+        if coeff < 0:
+            sign, coeff = minus, -coeff
+        if not mono:
+            write("%s%s" % (sign, coeff))
+        elif coeff == 1:
+            write(sign + "*".join(map(fragment, mono)))
+        else:
+            write("%s%s*%s" % (sign, coeff, "*".join(map(fragment, mono))))
+        minus, plus = " - ", " + "
 
 
 def _poly_json(write: _Write, poly: Poly, level: int) -> None:
     """Write `poly.to_json_terms()` at `level`."""
     pad = "\n" + "  " * (level + 1)
     key_pad = pad + "  "
+    # one `%` format per term; the text of an int or Fraction needs no escape
+    head = "{" + key_pad + '"coeff": "%s",' + key_pad + '"monomial": '
+    term = head + "{" + key_pad + "  %s" + key_pad + "}" + pad + "}"
+    constant = head + "{}" + pad + "}"
     var_sep = "," + key_pad + "  "
-    opening = "{" + key_pad + "  "
-    closing = key_pad + "}"
-    coeff_head = "{" + key_pad + '"coeff": '
-    monomial_head = "," + key_pad + '"monomial": '
-    tail = pad + "}"
-    fragment = _Fragments().__getitem__
+    fragment = _Fragments(lambda var, exp: f"{_quote(var_name(var))}: {exp}").__getitem__
 
     def terms():
         for mono, coeff in poly.sorted_terms():
             if mono:
                 # a name has only letters, digits and "_", all above the closing
                 # quote, so sorting the entries sorts by name string
-                monomial = opening + var_sep.join(sorted(map(fragment, mono))) + closing
+                yield term % (coeff, var_sep.join(sorted(map(fragment, mono))))
             else:
-                monomial = "{}"
-            yield coeff_head + _quote(str(coeff)) + monomial_head + monomial + tail
+                yield constant % (coeff,)
 
     _json_list(write, terms(), level)
 
@@ -199,11 +227,12 @@ def _combination_json(write: _Write, combination: NCombination, level: int) -> N
     items = combination.sorted_items()
     pad = "\n" + "  " * (level + 1)
     key_pad = pad + "  "
-    # all words of a combination have one length: one field per letter
+    # all words of a combination have one length: one field per letter.  The
+    # text of an int, Fraction or Poly coefficient needs no JSON escape
     length = len(items[0][0]) if items else 0
-    word = ("[" + ",".join([key_pad + "  {}"] * length) + key_pad + "]") if length else "[]"
-    term = ("{{" + key_pad + '"coeff": {coeff},' + key_pad + '"word": ' + word + pad + "}}").format
-    _json_list(write, (term(*w, coeff=_quote(str(coeff))) for w, coeff in items), level)
+    word = ("[" + ",".join([key_pad + "  %d"] * length) + key_pad + "]") if length else "[]"
+    term = "{" + key_pad + '"coeff": "%s",' + key_pad + '"word": ' + word + pad + "}"
+    _json_list(write, (term % ((coeff,) + w) for w, coeff in items), level)
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -262,11 +291,14 @@ def _cmd_series(args, parser: argparse.ArgumentParser) -> int:
             "equal": json.dumps(result.equal),
         })
     else:
-        print(f"series m={params.m} k={params.k} variant={args.variant} cap={args.cap}")
-        print(f"  denominator: {result.denominator}")
-        print(f"  lhs: {result.lhs.poly}")
-        print(f"  rhs: {result.rhs.poly}")
-        print("equal: " + ("yes" if result.equal else "NO"))
+        write = sys.stdout.write
+        write(f"series m={params.m} k={params.k} variant={args.variant} cap={args.cap}\n")
+        for label, poly in (("denominator", result.denominator),
+                            ("lhs", result.lhs.poly), ("rhs", result.rhs.poly)):
+            write(f"  {label}: ")
+            _poly_text(write, poly)
+            write("\n")
+        write("equal: " + ("yes" if result.equal else "NO") + "\n")
     return 0 if result.equal else 1
 
 
@@ -303,9 +335,12 @@ def _cmd_charpoly(args, parser: argparse.ArgumentParser) -> int:
             "coeffs": lambda write: _poly_list_json(write, coeffs, 1),
         })
     else:
-        print(f"charpoly m={args.m} matrix={args.matrix}")
+        write = sys.stdout.write
+        write(f"charpoly m={args.m} matrix={args.matrix}\n")
         for r, coeff in enumerate(coeffs):
-            print(f"  c_{r} = {coeff}")
+            write(f"  c_{r} = ")
+            _poly_text(write, coeff)
+            write("\n")
     return 0
 
 

@@ -13,7 +13,8 @@ of degree <= cap - d, so no term is formed only to be truncated.
 exactly 1.
 
 The canonical term order used for printing and serialisation is graded
-lexicographic on (t-degree, monomial).
+lexicographic on (t-degree, monomial).  Since "a" < "t", the t variables
+of a sorted monomial are its tail, and its t-degree is summed there.
 
 `PackedCodec` packs a monomial over a fixed variable list into one int,
 one base-b digit per exponent, so that multiplying monomials is adding
@@ -77,7 +78,13 @@ def mono_mul(left: Monomial, right: Monomial) -> Monomial:
 
 
 def mono_t_degree(mono: Monomial) -> int:
-    return sum(exp for var, exp in mono if var[0] == "t")
+    # a monomial is sorted and "a" < "t", so its t variables are its tail
+    degree = 0
+    for var, exp in reversed(mono):
+        if var[0] != "t":
+            break
+        degree += exp
+    return degree
 
 
 def word_t_monomial(word: Sequence[int]) -> Monomial:
@@ -118,12 +125,12 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        cleaned = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    cleaned[mono] = _normalise(coeff)
-        self.terms = cleaned
+        # zero terms dropped, integral Fractions made ints; an int, the usual
+        # case, skips the (abstract base class) isinstance test of `_normalise`
+        self.terms = {
+            mono: coeff if type(coeff) is int else _normalise(coeff)
+            for mono, coeff in terms.items() if coeff
+        } if terms else {}
 
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":

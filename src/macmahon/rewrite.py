@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from .words import (
     AlgebraParams,
     Word,
-    _window_starts,
+    _leftmost_window,
     inversions,
     is_admissible,
     smallest_decreasing_run,
@@ -81,7 +81,9 @@ class NCombination:
         return self.terms.get(tuple(word), 0)
 
     def sorted_items(self) -> list[tuple[Word, object]]:
-        return sorted(self.terms.items())
+        # sort the words alone: each comparison is then one tuple of ints
+        terms = self.terms
+        return [(word, terms[word]) for word in sorted(terms)]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -139,6 +141,8 @@ def _normal_form_terms(word: Word, params: AlgebraParams) -> dict[Word, int]:
     # decreasing block, which has C(k,2) inversions and no letter in common
     # with a pair outside it, so its inversion number is
     # inv(w) - C(k,2) + inv(arr); the arrangements are tabled per block.
+    # The window is found by `_leftmost_window`, one plain call per pending
+    # word: a generator's set-up cost more than the scan of a short word.
     k = params.k
     top = k * (k - 1) // 2
     blocks: dict[Word, list[tuple[Word, int, int]]] = {}
@@ -149,9 +153,10 @@ def _normal_form_terms(word: Word, params: AlgebraParams) -> dict[Word, int]:
         for w, c in buckets.pop(level).items():
             if not c:
                 continue
-            start = next(_window_starts(w, k, True), None)
+            start = _leftmost_window(w, k)
             if start is None:
-                done[w] = done.get(w, 0) + c
+                # w is met only in the bucket of its own inversion number
+                done[w] = c
                 continue
             block = w[start:start + k]
             arrangements = blocks.get(block)
@@ -162,7 +167,7 @@ def _normal_form_terms(word: Word, params: AlgebraParams) -> dict[Word, int]:
                 bucket = buckets.setdefault(level - top + inv, {})
                 w2 = prefix + arr + suffix
                 bucket[w2] = bucket.get(w2, 0) + c * sign
-    return {w: c for w, c in done.items() if c}
+    return done
 
 
 def normal_form(word: Sequence[int], params: AlgebraParams) -> NCombination:

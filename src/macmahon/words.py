@@ -63,18 +63,31 @@ def inversions(word: Sequence[int]) -> int:
     return sum(1 for s in range(n) for t in range(s + 1, n) if word[s] > word[t])
 
 
-def _window_starts(word: Sequence[int], k: int, strict: bool) -> Iterator[int]:
-    # Start indices of decreasing k-letter windows, leftmost first.  A run
-    # counter avoids rescanning: `run` is the length of the longest
-    # decreasing run ending at position t.
-    run = 1
-    for t in range(1, len(word)):
-        if word[t - 1] > word[t] or (not strict and word[t - 1] == word[t]):
+def _leftmost_window(word: Sequence[int], k: int, strict: bool = True) -> Optional[int]:
+    """0-based start of the leftmost decreasing k-letter window, or None.
+
+    A plain loop rather than a generator, since the worklist of `rewrite`
+    asks once per pending word.  `run` is the length of the longest
+    decreasing run ending at the current letter.
+
+    >>> _leftmost_window((4, 6, 3, 2, 1), 3)
+    1
+    >>> _leftmost_window((4, 6, 1, 3, 2), 3) is None
+    True
+    """
+    run = t = 1
+    letters = iter(word)
+    prev = next(letters, None)
+    for letter in letters:
+        if prev > letter or (prev == letter and not strict):
             run += 1
+            if run == k:
+                return t - k + 1
         else:
             run = 1
-        if run >= k:
-            yield t - k + 1
+        prev = letter
+        t += 1
+    return None
 
 
 def has_decreasing_run(word: Sequence[int], k: int, variant: str = STRICT) -> bool:
@@ -82,7 +95,7 @@ def has_decreasing_run(word: Sequence[int], k: int, variant: str = STRICT) -> bo
     _check_variant(variant)
     if k < 2:
         raise ValueError("run length k must be at least 2")
-    return next(_window_starts(word, k, variant == STRICT), None) is not None
+    return _leftmost_window(word, k, variant == STRICT) is not None
 
 
 def is_admissible(word: Sequence[int], params: AlgebraParams, variant: str = STRICT) -> bool:
@@ -96,7 +109,7 @@ def is_admissible(word: Sequence[int], params: AlgebraParams, variant: str = STR
     """
     _check_variant(variant)
     w = validate_word(word, params.m)
-    return next(_window_starts(w, params.k, variant == STRICT), None) is None
+    return _leftmost_window(w, params.k, variant == STRICT) is None
 
 
 def smallest_decreasing_run(word: Sequence[int], params: AlgebraParams) -> Optional[int]:
@@ -106,7 +119,7 @@ def smallest_decreasing_run(word: Sequence[int], params: AlgebraParams) -> Optio
     1
     """
     w = validate_word(word, params.m)
-    return next(_window_starts(w, params.k, True), None)
+    return _leftmost_window(w, params.k)
 
 
 def enumerate_admissible(params: AlgebraParams, length: int, variant: str = STRICT) -> Iterator[Word]:

@@ -32,7 +32,10 @@ def univariate_coeffs(series: TruncatedSeries, cap: int) -> list:
 
 def test_constructors_and_cleanup():
     assert Poly({(): 0}) == Poly.zero()
+    assert Poly({(): Fraction(0)}) == Poly.zero()
     assert Poly.constant(Fraction(4, 2)).terms == {(): 2}
+    # == also holds for Fraction(2): the stored value must be an int
+    assert type(Poly.constant(Fraction(4, 2)).terms[()]) is int
     assert not Poly.zero()
     assert Poly.one() == 1
     assert Poly.constant(0) == 0

@@ -17,7 +17,7 @@ from macmahon.rewrite import (
 )
 from macmahon.words import (
     AlgebraParams,
-    _window_starts,
+    _leftmost_window,
     enumerate_admissible,
     inversions,
     is_admissible,
@@ -181,11 +181,11 @@ def test_worklist_matches_reversion_for_larger_k(k, monkeypatch):
     # fold reduces in another order and must agree too.
     searched = Counter()
 
-    def counting_starts(word, k, strict):
+    def counting_search(word, k, strict=True):
         searched[word] += 1
-        return _window_starts(word, k, strict)
+        return _leftmost_window(word, k, strict)
 
-    monkeypatch.setattr(rewrite, "_window_starts", counting_starts)
+    monkeypatch.setattr(rewrite, "_leftmost_window", counting_search)
     p = AlgebraParams(k, k)
     cache = {}
     rewriter = PrependRewriter(p)
