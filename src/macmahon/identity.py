@@ -23,18 +23,18 @@ cached, by `rewrite.PrependRewriter` (all rewriting lives in `rewrite`).
 The rewritten terms of a child are summed per word first, and each word
 whose sum is nonzero is weighed once, against the columns of A for the
 letters of j, which the walk carries along its path: the child (a,) + j
-gets column a in front of its parent's.  The children of a node depend
-only on its content (its letter counts), so each content's list of
-children is built once per walk.  The weight is linear in c, so the last
-level (len(j) = cap) is never built: each node of length cap - 1 sums its
-leaves' kept and rewritten terms directly.
+gets column a in front of its parent's.  The weight is linear in c, so
+the last level (len(j) = cap) is never built: each node of length cap - 1
+sums its leaves' kept and rewritten terms directly.
 
-`first_factor` walks every word with the entries of A as weights and adds
-each weight to g(i) (`_sweep` with `_WordSink`).  `verify_master` and
-`first_factor_totals` read only the per-content totals FF_gamma, the sum
-of g(i) over the words i of content gamma, because all words of one
-content share their t-monomial; rewriting preserves content, so every
-term of NF(j) has the content of j.
+`first_factor` is the per-word oracle: `_word_table` walks every word with
+the entries of A themselves as weights (int or `Fraction` for constant
+entries, `Poly` for the others, as `g_coefficient` takes them) and adds
+each weight to g(i).  It shares only the rewriter with the table below.
+`verify_master` and `first_factor_totals` read only the per-content
+totals FF_gamma, the sum of g(i) over the words i of content gamma,
+because all words of one content share their t-monomial; rewriting
+preserves content, so every term of NF(j) has the content of j.
 
 These totals come from one table that does not depend on A.  Relabelling
 the generators by a permutation s of {1..m} is an algebra automorphism,
@@ -52,14 +52,17 @@ lambda_i, FF_gamma(A) is U_lambda evaluated at a_pq = A_{s(p) s(q)}.
 words j whose partition hull (gamma_i = max over i' >= i of c_{i'}) has
 size <= cap: every suffix of such a word is such a word too, the words of
 partition content are among them, and no other word has a descendant of
-partition content within the cap.  On the generic matrix a term's weight
-is c times one monomial, packed into one int (`polyring.PackedCodec`,
-one digit per a_pq), so a kept prepend adds the key of a_aa, a rewritten
-word sums the keys of its column entries, and the walk adds c into
-{key: c} for each partition; no scalar product runs in it.  `_specialise`
-then forms every content's total from its partition's: it reads the
-digits of each key of U_lambda once and evaluates the term at each
-relabelling of A, skipping the terms on zero entries.  Numeric entries
+partition content within the cap.  The children of a node depend only
+on its content (its letter counts), so each content's list of children
+is built, and tested against the hull, once per walk.  On the generic
+matrix a term's weight is c times one monomial, packed into one int
+(`polyring.PackedCodec`, one digit per a_pq), so a kept prepend adds the
+key of a_aa, a rewritten word sums the keys of its column entries, and
+the walk adds c into {key: c} for each partition; no scalar product runs
+in it.  `_specialise` then forms every content's total from its
+partition's: it reads the digits of each key of U_lambda once and
+evaluates the term at each relabelling of A, skipping the terms on zero
+entries.  Numeric entries
 (int or `Fraction`) are multiplied as scalars; every other entry is
 packed in the codec of A's own variables, so that multiplying two
 monomials is again one integer addition.  For the generic matrix itself
@@ -69,14 +72,14 @@ The table costs its whole walk even where A has many zeros, whose terms
 a walk of A itself would not weigh, so on the identity matrix `verify`
 is slower than such a walk at some depths (README).
 
-No `Poly` arithmetic runs in the walks, the specialisation or the product
-that `verify_master` checks; the totals are decoded to `Poly` once, at
-the end.  `verify_master` gives each content total its t-monomial by
-adding the content's t-digits to its keys, multiplies it with the packed
-second factor bucket by bucket of t-degree, counts the nonzero terms of
-each degree's residual, and decodes only the first failing degree for the
-report.  `FirstFactorSeries.series()` and `g_coefficient` stay in `Poly`
-as oracles.
+No `Poly` arithmetic runs in the universal walk, the specialisation or
+the product that `verify_master` checks; the totals are decoded to `Poly`
+once, at the end.  `verify_master` gives each content total its
+t-monomial by adding the content's t-digits to its keys, multiplies it
+with the packed second factor bucket by bucket of t-degree, counts the
+nonzero terms of each degree's residual, and decodes only the first
+failing degree for the report.  `first_factor`, `FirstFactorSeries.series()` and
+`g_coefficient` stay in `Poly` as oracles.
 
 Everything is exact; no tolerances appear anywhere.
 """
@@ -97,85 +100,10 @@ from .rewrite import PrependRewriter, _accumulate, _normal_form_terms
 from .words import AlgebraParams, Word, is_admissible, validate_word
 
 Coeff = Union[int, Fraction, Poly]
-Weight = Union[int, Fraction, "_Weight"]
 
 NUMERIC = "numeric"
 SYMBOLIC = "symbolic"
 COROLLARY = "corollary"
-
-
-class _Weight:
-    """A polynomial weight c * prod a_{i_s j_s} as {packed monomial: coeff}.
-
-    Numeric entries and weights stay plain scalars; every other entry is
-    one of these, so a weight is either, and the sweep and its sinks use
-    the same `*`, `+` and truth tests on both.  Multiplying two monomials
-    adds their keys (`polyring.PackedCodec`); a scalar is the coefficient
-    of the empty monomial, key 0.  A weight of one term, as every weight
-    of the generic symbolic matrix is, keeps it in `key` and `coeff` with
-    `terms` None.  `+` makes a new weight and `+=` adds in place, so a
-    sink's running sum starts as a copy (0 + weight) that the sink owns.
-    """
-
-    __slots__ = ("terms", "key", "coeff")
-
-    def __init__(self, terms: Optional[dict], key: int = 0, coeff: Scalar = 1) -> None:
-        self.terms = terms
-        self.key = key
-        self.coeff = coeff
-
-    def items(self):
-        return ((self.key, self.coeff),) if self.terms is None else self.terms.items()
-
-    def __bool__(self) -> bool:
-        return self.terms is None or bool(self.terms)
-
-    def __mul__(self, other: Weight) -> Weight:
-        if type(other) is not _Weight:
-            if not other:
-                return 0
-            if self.terms is None:
-                return _Weight(None, self.key, self.coeff * other)
-            return _Weight({key: coeff * other for key, coeff in self.terms.items()})
-        if self.terms is None and other.terms is None:
-            return _Weight(None, self.key + other.key, self.coeff * other.coeff)
-        acc: dict = {}
-        for key1, coeff1 in self.items():
-            for key2, coeff2 in other.items():
-                key = key1 + key2
-                total = acc.get(key, 0) + coeff1 * coeff2
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        return _Weight(acc)
-
-    __rmul__ = __mul__
-
-    def __iadd__(self, other: Weight) -> "_Weight":
-        if self.terms is None:
-            self.terms = {self.key: self.coeff}
-        terms = self.terms
-        if type(other) is _Weight:
-            for key, coeff in other.items():
-                terms[key] = terms.get(key, 0) + coeff
-        elif other:
-            terms[0] = terms.get(0, 0) + other
-        return self
-
-    def __add__(self, other: Weight) -> "_Weight":
-        total = _Weight(dict(self.items()))
-        total += other
-        return total
-
-    __radd__ = __add__
-
-
-def _packed(weight: Weight) -> dict:
-    # {packed monomial: coeff} of a weight, zero terms left out
-    if type(weight) is _Weight:
-        return {key: coeff for key, coeff in weight.items() if coeff}
-    return {0: weight} if weight else {}
 
 
 def _hull_size(content: tuple) -> int:
@@ -187,77 +115,62 @@ def _hull_size(content: tuple) -> int:
     return size
 
 
-def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink) -> None:
-    # depth-first over all words j: NF((a,) + j) is x_a times NF(j), and
-    # each term c * i of NF(j) has the weight c * prod_s a_{i_s j_s}, which
-    # the sink adds to g(i).
+def _word_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
+    # g(i) for every word i, depth-first over all words j: NF((a,) + j) is
+    # x_a times NF(j), and each term c * i of NF(j) adds its weight
+    # c * prod_s a_{i_s j_s} to g(i).
     # A term w whose prepend (a,) + w stays admissible passes to the child
     # with weight a_aa times its own; the other terms are rewritten and
     # summed per word, and each word is weighed once against the columns
     # of A for j that the walk carries: cols[s][b] = a_{b j_s}.
     # A word whose coefficient cancels leaves both the coefficients and
     # the weights, so the weights of a node hold exactly the terms of NF(j).
-    # The sink gets `node` for each built node j, with the weights of
-    # NF(j), and `last_level` once per node of length cap - 1, with its
-    # children [(a, content)], its terms (w, c, weight, head), where the
-    # leaf (a,) + j keeps (a,) + w with weight a_aa * weight when
-    # a <= head, and its fronts [(content, {word: weight})]: for each leaf
-    # with a live rewritten word, the weighed normal forms of its
-    # rewritten terms summed per word.
     m = params.m
     rewriter = PrependRewriter(params)
     front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
     diagonals = [rows[a][a] for a in range(m)]
     # column b of A read by letter: columns[b - 1][a] = a_ab (index 0 unused)
     columns = [(None, *(row[b] for row in rows)) for b in range(m)]
-    # (a, content of (a,) + j) for each letter a, by the content of j: the
-    # children of one content are the same at every node of that content
-    child_table: dict[tuple, list[tuple[int, tuple]]] = {}
+    table: dict[Word, Coeff] = {}
 
-    def visit(cols: list, content: tuple, coeffs: dict[Word, int], weights: dict[Word, Weight]) -> None:
-        sink.node(content, weights)
+    def visit(cols: list, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
+        for i, weight in weights.items():
+            if weight:
+                table[i] = table.get(i, 0) + weight
         if len(cols) == cap:
             return
         terms = [(w, c, weights[w], heads.get(w[:front_len], m)) for w, c in coeffs.items()]
-        children = child_table.get(content)
-        if children is None:
-            children = [(a, content[:a - 1] + (content[a - 1] + 1,) + content[a:])
-                        for a in range(1, m + 1)]
-            child_table[content] = children
         if len(cols) + 1 == cap:
             # the weight is linear in c, so the last level is never built:
-            # kept terms go to the sink scaled by a_aa, and the rewritten
-            # terms of each leaf are summed per word and weighed once
-            fronts = []
-            rewritten = [(w, c, head) for w, c, _, head in terms if head < m]
-            if rewritten:
-                for a, child_content in children:
-                    merged: dict[Word, int] = {}
-                    for w, c, head in rewritten:
-                        if a > head:
-                            for u, coeff in front((a,) + w).items():
-                                merged[u] = merged.get(u, 0) + c * coeff
-                    if merged:
-                        leaf_cols = [columns[a - 1], *cols]
-                        weighed: dict[Word, Weight] = {}
-                        for u, weight in merged.items():
-                            if not weight:
-                                continue
-                            for letter, col in zip(u, leaf_cols):
-                                entry = col[letter]
-                                if not entry:
-                                    break
-                                weight = weight * entry
-                            else:
-                                weighed[u] = weight
-                        if weighed:
-                            fronts.append((child_content, weighed))
-            sink.last_level(children, diagonals, terms, fronts)
+            # kept terms are added scaled by a_aa, and the rewritten terms
+            # of each leaf are summed per word and weighed once
+            for a in range(1, m + 1):
+                diagonal = diagonals[a - 1]
+                merged: dict[Word, int] = {}
+                for w, c, weight, head in terms:
+                    if a > head:
+                        for u, coeff in front((a,) + w).items():
+                            merged[u] = merged.get(u, 0) + c * coeff
+                    elif diagonal and weight:
+                        word = (a,) + w
+                        table[word] = table.get(word, 0) + diagonal * weight
+                if merged:
+                    leaf_cols = [columns[a - 1], *cols]
+                    for u, weight in merged.items():
+                        if not weight:
+                            continue
+                        for letter, col in zip(u, leaf_cols):
+                            entry = col[letter]
+                            if not entry:
+                                break
+                            weight = weight * entry
+                        else:
+                            table[u] = table.get(u, 0) + weight
             return
-        for a, child_content in children:
+        for a in range(1, m + 1):
             diagonal = diagonals[a - 1]
             child: dict[Word, int] = {}
-            child_weights: dict[Word, Weight] = {}
+            child_weights: dict[Word, Coeff] = {}
             fresh: dict[Word, int] = {}
             for w, c, weight, head in terms:
                 if a > head:
@@ -285,38 +198,10 @@ def _sweep(rows: list[list[Weight]], params: AlgebraParams, cap: int, sink) -> N
                         break
                     weight = weight * entry
                 child_weights[u] = weight
-            visit(child_cols, child_content, child, child_weights)
+            visit(child_cols, child, child_weights)
 
-    visit([], (0,) * m, {(): 1}, {(): 1})
-
-
-class _WordSink:
-    """g(i) for each word i: the per-word table."""
-
-    def __init__(self) -> None:
-        self.table: dict[Word, Weight] = {}
-
-    def add(self, word: Word, weight: Weight) -> None:
-        if weight:
-            total = self.table.get(word, 0)
-            total += weight
-            self.table[word] = total
-
-    def node(self, content: tuple, weights: dict[Word, Weight]) -> None:
-        for i, weight in weights.items():
-            self.add(i, weight)
-
-    def last_level(self, children: list, diagonals: list[Weight], terms: list, fronts: list) -> None:
-        for a, _ in children:
-            diagonal = diagonals[a - 1]
-            if not diagonal:
-                continue
-            for w, _, weight, head in terms:
-                if a <= head and weight:
-                    self.add((a,) + w, diagonal * weight)
-        for _, weighed in fronts:
-            for u, weight in weighed.items():
-                self.add(u, weight)
+    visit([], {(): 1}, {(): 1})
+    return {i: total for i, total in table.items() if total}
 
 
 class _Universal(NamedTuple):
@@ -333,7 +218,7 @@ class _Universal(NamedTuple):
 
 
 def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
-    # The sweep of `_sweep` on the generic matrix, reduced to the words
+    # The walk of `_word_table` on the generic matrix, reduced to the words
     # whose partition hull has size <= cap.  Every weight is c times one
     # monomial, so a term of NF(j) is (c, key): a kept prepend adds the key
     # of a_aa, and a rewritten word sums the keys of its column entries,
@@ -501,56 +386,43 @@ def max_sweep_cap() -> int:
     return sys.getrecursionlimit() // 4
 
 
-def _entry_codec(matrix: SymMatrix, params: AlgebraParams, cap: int) -> PackedCodec:
-    # the codec that packs the entries' monomials, after the checks that
-    # every route through the sweep makes.  Its variables are the a_pq of
-    # the entries and the markers t_1..t_m.  A weight of a word of length l
-    # is a product of l entries, and a term of t-degree r of the second
-    # factor one of r entries, so with E the largest exponent in an entry,
-    # no exponent formed by the sweep, by `_specialise` or by verify's
-    # product (l + r <= cap) exceeds max(cap, 1) * E: the base is one more
-    # than that
+def _check_arguments(matrix: SymMatrix, params: AlgebraParams, cap: int) -> None:
+    # the argument checks of every first-factor route
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if cap > max_sweep_cap():
         raise ValueError(f"cap {cap} is deeper than the sweep can recurse (at most {max_sweep_cap()})")
+    if any(var[0] == "t" for row in matrix.entries for entry in row for mono in entry.terms for var, _ in mono):
+        raise ValueError("matrix entries must not involve the markers t_i")
+
+
+def _entry_codec(matrix: SymMatrix, params: AlgebraParams, cap: int) -> PackedCodec:
+    # the codec that packs the entries' monomials, after the argument
+    # checks.  Its variables are the a_pq of the entries and the markers
+    # t_1..t_m.  A weight of a word of length l is a product of l entries,
+    # and a term of t-degree r of the second factor one of r entries, so
+    # with E the largest exponent in an entry, no exponent formed by
+    # `_specialise` or by verify's product (l + r <= cap) exceeds
+    # max(cap, 1) * E: the base is one more than that
+    _check_arguments(matrix, params, cap)
     powers = [(var, exp) for row in matrix.entries for entry in row
               for mono in entry.terms for var, exp in mono]
-    if any(var[0] == "t" for var, _ in powers):
-        raise ValueError("matrix entries must not involve the markers t_i")
     top = max((exp for _, exp in powers), default=1)
     markers = {tvar(i) for i in range(1, params.m + 1)}
     return PackedCodec({var for var, _ in powers} | markers, max(cap, 1) * top + 1)
 
 
-def _sweep_rows(matrix: SymMatrix, params: AlgebraParams, cap: int) -> tuple[list[list[Weight]], PackedCodec]:
-    # the entries as weights of the per-word sweep, and their codec
-    codec = _entry_codec(matrix, params, cap)
-
-    def weight(entry: Poly) -> Weight:
-        if entry.is_constant():
-            return entry.constant_value()
-        if len(entry.terms) == 1:
-            (mono, coeff), = entry.terms.items()
-            return _Weight(None, codec.pack(mono), coeff)
-        return _Weight({codec.pack(mono): coeff for mono, coeff in entry.terms.items()})
-
-    return [[weight(e) for e in row] for row in matrix.entries], codec
+def _entry_rows(matrix: SymMatrix) -> list[list[Coeff]]:
+    # the entries as coefficients: constant ones as int or Fraction
+    return [[e.constant_value() if e.is_constant() else e for e in row] for row in matrix.entries]
 
 
 def first_factor(matrix: SymMatrix, params: AlgebraParams, cap: int) -> FirstFactorSeries:
     """Compute g(i) for every admissible word i with len(i) <= cap."""
-    rows, codec = _sweep_rows(matrix, params, cap)
-    sink = _WordSink()
-    _sweep(rows, params, cap, sink)
-    coeffs = {}
-    for i, total in sink.table.items():
-        if type(total) is _Weight:
-            total = codec.decode(_packed(total))
-        if total:
-            coeffs[i] = total
+    _check_arguments(matrix, params, cap)
+    coeffs = _word_table(_entry_rows(matrix), params, cap)
     mode = NUMERIC if matrix.is_numeric() else SYMBOLIC
     return FirstFactorSeries(params=params, cap=cap, mode=mode, coeffs=coeffs)
 
@@ -669,7 +541,7 @@ def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams)
         raise ValueError(f"word {w!r} is not admissible")
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
-    rows = [[e.constant_value() if e.is_constant() else e for e in row] for row in matrix.entries]
+    rows = _entry_rows(matrix)
     nf_cache: dict[Word, dict[Word, int]] = {}
     vec: dict[Word, Coeff] = {(): 1}
     for letter in reversed(w):
@@ -783,8 +655,7 @@ def verify_corollary(matrix: SymMatrix, params: AlgebraParams, cap: int) -> Veri
     is expanded over partial permutations with sign
     (-1) ** (alpha(r) + r + inversions).
     """
-    if matrix.m != params.m:
-        raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
+    _check_arguments(matrix, params, cap)
     rows = matrix.scalar_rows()
     m, k = params.m, params.k
 

@@ -9,8 +9,6 @@ from macmahon.charpoly import SymMatrix, alpha, second_factor
 from macmahon.identity import (
     FirstFactorSeries,
     _report_from_residuals,
-    _sweep,
-    _sweep_rows,
     _universal_sweep,
     first_factor,
     first_factor_totals,
@@ -498,51 +496,16 @@ def squared(matrix):
     return SymMatrix.from_rows([[e * e for e in row] for row in matrix.entries])
 
 
-class RecordingSink:
-    """A sink that keeps the arguments of every call the sweep makes."""
-
-    def __init__(self):
-        self.nodes = []
-        self.last_levels = []
-
-    def node(self, content, weights):
-        self.nodes.append((content, dict(weights)))
-
-    def last_level(self, children, diagonals, terms, fronts):
-        self.last_levels.append((list(children), list(diagonals), list(terms), list(fronts)))
-
-
-def recorded_sweep(matrix, params, cap):
-    sink = RecordingSink()
-    rows, _ = _sweep_rows(matrix, params, cap)
-    _sweep(rows, params, cap, sink)
-    return sink
-
-
-def leaf_fronts(a, terms, params):
+def leaf_fronts(a, nf, params):
     # {word: the coefficients it gets from each rewritten term of the leaf
-    # child a}, from the worklist oracle: (a,) + w is rewritten exactly when
-    # it is not admissible
+    # child a of a node with normal form nf}, from the worklist oracle:
+    # (a,) + w is rewritten exactly when it is not admissible
     reach = {}
-    for w, c, _, _ in terms:
+    for w, c in nf.items():
         if not is_admissible((a,) + w, params):
             for u, coeff in _normal_form_terms((a,) + w, params).items():
                 reach.setdefault(u, []).append(c * coeff)
     return reach
-
-
-def front_collisions(case):
-    # (summed coefficient, weight handed to the sink or None) for each word
-    # of a leaf child that two or more of its rewritten terms reach
-    matrix, params, cap = case
-    found = []
-    for children, _, terms, fronts in recorded_sweep(matrix, params, cap).last_levels:
-        weighed = dict(fronts)
-        for a, content in children:
-            for u, parts in leaf_fronts(a, terms, params).items():
-                if len(parts) > 1:
-                    found.append((sum(parts), weighed.get(content, {}).get(u)))
-    return found
 
 
 # m = 3, k = 3 first merges the fronts of two terms of one leaf at cap 6: at
@@ -600,40 +563,28 @@ def test_content_totals_match_per_word_oracles(case):
 
 
 def test_merge_examples_still_merge_colliding_fronts():
-    # the two merge examples above must keep their collisions; a word whose
-    # coefficients cancel is not weighed or handed to the sink
-    assert any(total and weight for total, weight in front_collisions(MERGE_SUM))
-    cancelled = [weight for total, weight in front_collisions(MERGE_CANCEL) if not total]
-    assert cancelled and all(weight is None for weight in cancelled)
+    # the two merge examples above must keep their collisions, found from
+    # the worklist alone: for each word u that two or more rewritten terms
+    # of a leaf (a,) + j reach, the summed coefficient and u's weight
+    # against that leaf; assigning instead of adding changes a total only
+    # where that weight is nonzero
+    def collisions(case):
+        matrix, params, cap = case
+        rows = matrix.scalar_rows()
+        found = []
+        for j in product(range(1, params.m + 1), repeat=cap - 1):
+            nf = _normal_form_terms(j, params)
+            for a in range(1, params.m + 1):
+                for u, parts in leaf_fronts(a, nf, params).items():
+                    if len(parts) > 1:
+                        weight = 1
+                        for letter, column in zip(u, (a,) + j):
+                            weight *= rows[letter - 1][column - 1]
+                        found.append((sum(parts), weight))
+        return found
 
-
-def test_sweep_hands_each_leaf_its_merged_fronts_in_one_call():
-    # a random matrix takes the full sweep; a leaf child with a live
-    # rewritten word gets one fronts entry, with each of those words once
-    matrix, params, cap = SymMatrix.random(3, seed=1), P33, 5
-    sink = recorded_sweep(matrix, params, cap)
-    sums = {}
-
-    def add(content, weight):
-        sums[content] = sums.get(content, 0) + weight
-
-    for content, weights in sink.nodes:
-        add(content, sum(weights.values()))
-    fronted = 0
-    for children, diagonals, terms, fronts in sink.last_levels:
-        letters = {content: a for a, content in children}
-        for a, content in children:
-            add(content, diagonals[a - 1] * sum(weight for w, _, weight, _ in terms
-                                                if is_admissible((a,) + w, params)))
-        assert len({content for content, _ in fronts}) == len(fronts)
-        for content, weighed in fronts:
-            reach = leaf_fronts(letters[content], terms, params)
-            assert weighed and all(weight and sum(reach[u]) for u, weight in weighed.items())
-            add(content, sum(weighed.values()))
-        fronted += len(fronts)
-    assert fronted > 0
-    assert {content: Poly.constant(total) for content, total in sums.items() if total} \
-        == first_factor_totals(matrix, params, cap)
+    assert any(total and weight for total, weight in collisions(MERGE_SUM))
+    assert any(not total and weight for total, weight in collisions(MERGE_CANCEL))
 
 
 def per_content(table, m):
@@ -665,18 +616,18 @@ def test_every_matrix_takes_the_universal_sweep(monkeypatch):
     # the content totals and verify sweep the generic matrix once, for any
     # entries; only the per-word table sweeps the matrix itself
     universal, full = [], []
-    real_universal, real_sweep = identity._universal_sweep, identity._sweep
+    real_universal, real_walk = identity._universal_sweep, identity._word_table
 
     def recording_universal(params, cap):
         universal.append((params.m, params.k, cap))
         return real_universal(params, cap)
 
-    def recording_sweep(rows, params, cap, sink):
+    def recording_walk(rows, params, cap):
         full.append((params.m, params.k, cap))
-        real_sweep(rows, params, cap, sink)
+        return real_walk(rows, params, cap)
 
     monkeypatch.setattr(identity, "_universal_sweep", recording_universal)
-    monkeypatch.setattr(identity, "_sweep", recording_sweep)
+    monkeypatch.setattr(identity, "_word_table", recording_walk)
     matrices = {
         "int": SymMatrix.from_rows([[2, 0, -1], [0, 3, 0], [1, 0, -2]]),
         "fraction": SymMatrix.from_rows([[Fraction(1, 2), 0, 2], [Fraction(-1, 3), 1, 0], [0, 1, 0]]),
@@ -791,7 +742,7 @@ def test_cap_deeper_than_the_sweep_recursion_is_refused():
                 route(SymMatrix.identity(2), P22, cap)
 
 
-@pytest.mark.parametrize("route", [first_factor_totals, verify_master, first_factor])
+@pytest.mark.parametrize("route", [first_factor_totals, verify_master, first_factor, verify_corollary])
 def test_size_mismatch_and_negative_cap_are_refused(route):
     with pytest.raises(ValueError, match="does not match"):
         route(SymMatrix.identity(3), P22, 2)
@@ -799,3 +750,5 @@ def test_size_mismatch_and_negative_cap_are_refused(route):
         route(SymMatrix.symbolic(2), P32, 2)
     with pytest.raises(ValueError, match="nonnegative"):
         route(SymMatrix.identity(2), P22, -1)
+    with pytest.raises(ValueError, match="must not involve the markers t_i"):
+        route(SymMatrix.from_rows([[1, Poly.variable(tvar(2))], [0, 1]]), P22, 2)
