@@ -10,11 +10,13 @@ entries prune whole subtrees.  So does a free column that no remaining
 row can fill, because its own row and all its nonzero entries are already
 passed: the walk cuts that subtree before the next row.  Each earlier
 row sent to a column above c adds one inversion, and the minus sign of
--lambda folds into the same parity.  Each choice of one term per factor
-adds one monomial to c_r, r the number of lambda-factors: the path carries
-the ranks of the chosen terms' (variable, exponent) pairs, ranked once per
-call in pair order, as one concatenated tuple of ints, which the leaf
-sorts once and maps back to pairs.  Exponents are added only when a variable
+-lambda folds into the same parity.  Given a bound, a path that has taken
+that many lambda-factors takes only the 1s of I from there on.  Each
+choice of one term per factor adds one monomial to c_r, r the number of
+lambda-factors: the path carries the ranks of the chosen terms'
+(variable, exponent) pairs, ranked once per call in pair order, as one
+concatenated tuple of ints, which the leaf sorts once and maps back to
+pairs.  Exponents are added only when a variable
 occurs in the terms of two rows; in TA of a numeric or the symbolic
 matrix none does.
 `enumerate_partial_perms` with `PartialPermutation.a_weight` recomputes
@@ -29,6 +31,9 @@ where det(I - A) must vanish.
 The second factor of the master identity keeps only the c_r(TA) with
 r = 0 or 1 mod k, weighted by (-1)**alpha(r), alpha(r) = r - (r mod k).
 For k = 2 every alpha is even and the sum telescopes to det(I - TA).
+`verify` reads it only up to t-degree cap, so it asks `char_coeffs` for
+c_r with r <= cap alone: on the identity matrix the full walk has 2**m
+leaves.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .polyring import Poly, Scalar, avar, parse_scalar, tvar
 from .words import AlgebraParams, inversions
@@ -194,9 +199,12 @@ def scale_rows_by_t(matrix: SymMatrix) -> SymMatrix:
     return SymMatrix(matrix.m, tuple(rows))
 
 
-def char_coeffs(matrix: SymMatrix) -> list[Poly]:
-    """Coefficients [c_0, ..., c_m] of det(lambda*I - M) in falling powers."""
+def char_coeffs(matrix: SymMatrix, bound: Optional[int] = None) -> list[Poly]:
+    """Coefficients [c_0, ..., c_bound] of det(lambda*I - M) in falling
+    powers; `bound` defaults to m.  The walk takes at most `bound` entries
+    of M, so its cost falls with the bound."""
     m = matrix.m
+    bound = m if bound is None else bound
     # every (variable, exponent) pair of the entries is ranked once, in pair
     # order (variable-key order: t_2 before t_10), so the walk carries tuples
     # of int ranks and a leaf sorts ints instead of nested tuples
@@ -217,7 +225,7 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
     # repeat a variable only if some variable occurs in the terms of two rows
     row_vars = [{var for e in row for mono in e.terms for var, _ in mono} for row in matrix.entries]
     repeats = sum(map(len, row_vars)) > len(set().union(*row_vars))
-    sums: list[dict] = [{} for _ in range(m + 1)]
+    sums: list[dict] = [{} for _ in range(bound + 1)]
 
     def walk(i: int, used: int, coeff, ranks: tuple, r: int) -> None:
         if i == m:
@@ -236,6 +244,8 @@ def char_coeffs(matrix: SymMatrix) -> list[Poly]:
         if not used >> i & 1:
             odd = (used >> i + 1).bit_count() & 1
             walk(i + 1, used | 1 << i, -coeff if odd else coeff, ranks, r)
+        if r == bound:
+            return
         for c, terms in offers[i]:
             if used >> c & 1:
                 continue
@@ -308,16 +318,20 @@ def _second_factor_degrees(k: int, bound: int) -> list[int]:
     return [r for r in range(bound + 1) if r % k in (0, 1)]
 
 
-def second_factor(matrix: SymMatrix, params: AlgebraParams) -> Poly:
+def second_factor(matrix: SymMatrix, params: AlgebraParams, cap: Optional[int] = None) -> Poly:
     """The polynomial sum of (-1)**alpha(r) * c_r(TA) over r = 0, 1 mod k.
 
     For k = 2 this is exactly det(I - TA), the denominator of the classical
-    master theorem.
+    master theorem.  c_r(TA) has t-degree r, so with `cap` only the terms
+    of t-degree <= cap are formed.
     """
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
-    coeffs = char_coeffs(scale_rows_by_t(matrix))
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
+    bound = params.m if cap is None else min(cap, params.m)
+    coeffs = char_coeffs(scale_rows_by_t(matrix), bound)
     total = Poly.zero()
-    for r in _second_factor_degrees(params.k, params.m):
+    for r in _second_factor_degrees(params.k, bound):
         total = total + (-1) ** alpha(r, params.k) * coeffs[r]
     return total

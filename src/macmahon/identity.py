@@ -11,26 +11,21 @@ Both routes below walk the words j of length <= cap depth first.
 Expanding the product of the y's gives
 g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where c(i, j) is
 the coefficient of x_i in the normal form NF(j) of x_{j_1} ... x_{j_l}.
-A walk gets NF(j) from NF(j_2 ... j_l) by left-multiplying each term
-with x_{j_1}; a word whose coefficient cancels leaves the node, so only
-live terms are weighed.  Its cost is the sum over j of |NF(j)|, and only
-the cap normal forms on the current path of the walk are live at any time.
+A walk gets NF((a,) + j) = x_a * NF(j) by left-multiplying each term of
+its parent's normal form, through `rewrite.PrependRewriter` (all
+rewriting lives in `rewrite`); a word whose coefficient cancels leaves
+the node, so only live terms are weighed.  Its cost is the sum over j of
+|NF(j)|, and only the cap normal forms on the current path of the walk
+are live at any time.
 
-Almost every left-multiplication x_a * w is already admissible, and then
-the term (a,) + w of the child inherits a_aa times the weight of w.  Only
-the prepends whose front k-window is strictly decreasing are rewritten and
-cached, by `rewrite.PrependRewriter` (all rewriting lives in `rewrite`).
-The rewritten terms of a child are summed per word first, and each word
-whose sum is nonzero is weighed once, against the columns of A for the
-letters of j, which the walk carries along its path: the child (a,) + j
-gets column a in front of its parent's.  The weight is linear in c, so
-the last level (len(j) = cap) is never built: each node of length cap - 1
-sums its leaves' kept and rewritten terms directly.
-
-`first_factor` is the per-word oracle: `_word_table` walks every word with
-the entries of A themselves as weights (int or `Fraction` for constant
-entries, `Poly` for the others, as `g_coefficient` takes them) and adds
-each weight to g(i).  It shares only the rewriter with the table below.
+`first_factor` is the per-word oracle, and `_word_table` is this
+definition and nothing more: it builds every node with
+`PrependRewriter.times` and adds the weight c * prod_s a_{i_s j_s} of
+each term c * i of NF(j) to g(i), the product stopping at the first zero
+entry.  Its weights are the entries of A themselves (int or `Fraction`
+for constant entries, `Poly` for the others, as `g_coefficient` takes
+them).  It shares only `times` with the table below, so it cannot share
+that table's shortcuts.
 `verify_master` and `first_factor_totals` read only the per-content
 totals FF_gamma, the sum of g(i) over the words i of content gamma,
 because all words of one content share their t-monomial; rewriting
@@ -56,11 +51,20 @@ partition content within the cap.  The children of a node depend only
 on its content (its letter counts), so each content's list of children
 is built, and tested against the hull, once per walk.  On the generic
 matrix a term's weight is c times one monomial, packed into one int
-(`polyring.PackedCodec`, one digit per a_pq), so a kept prepend adds the
-key of a_aa, a rewritten word sums the keys of its column entries, and
-the walk adds c into {key: c} for each partition; no scalar product runs
-in it.  `_specialise` then forms every content's total from its
-partition's: it reads the digits of each key of U_lambda once and
+(`polyring.PackedCodec`, one digit per a_pq), and the sweep keeps it as
+(c, key); no scalar product runs in it.  Almost every left-multiplication
+x_a * w is already admissible, and then the term (a,) + w of the child
+adds the key of a_aa to that of w.  Only the prepends whose front
+k-window is strictly decreasing are rewritten (`PrependRewriter.front`,
+cached).  The rewritten terms of a child are summed per word first, and
+each word whose sum is nonzero sums the keys of its column entries, from
+the columns of A for the letters of j that the sweep carries along its
+path; a key depends only on the word and j, so a rewritten word that
+meets a kept one just adds its c.  The weight is linear in c, so the
+last level (len(j) = cap) is never built: each node of length cap - 1
+adds its leaves' kept and rewritten terms into {key: c} for each
+partition directly.  `_specialise` then forms every content's total from
+its partition's: it reads the digits of each key of U_lambda once and
 evaluates the term at each relabelling of A, skipping the terms on zero
 entries.  Numeric entries
 (int or `Fraction`) are multiplied as scalars; every other entry is
@@ -116,91 +120,27 @@ def _hull_size(content: tuple) -> int:
 
 
 def _word_table(rows: list[list[Coeff]], params: AlgebraParams, cap: int) -> dict[Word, Coeff]:
-    # g(i) for every word i, depth-first over all words j: NF((a,) + j) is
-    # x_a times NF(j), and each term c * i of NF(j) adds its weight
-    # c * prod_s a_{i_s j_s} to g(i).
-    # A term w whose prepend (a,) + w stays admissible passes to the child
-    # with weight a_aa times its own; the other terms are rewritten and
-    # summed per word, and each word is weighed once against the columns
-    # of A for j that the walk carries: cols[s][b] = a_{b j_s}.
-    # A word whose coefficient cancels leaves both the coefficients and
-    # the weights, so the weights of a node hold exactly the terms of NF(j).
-    m = params.m
-    rewriter = PrependRewriter(params)
-    front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
-    diagonals = [rows[a][a] for a in range(m)]
-    # column b of A read by letter: columns[b - 1][a] = a_ab (index 0 unused)
-    columns = [(None, *(row[b] for row in rows)) for b in range(m)]
+    # g(i) for every word i, by the definition: depth first over all words j
+    # with len(j) <= cap, NF((a,) + j) = x_a * NF(j), and each term c * i of
+    # NF(j) adds c * prod_s a_{i_s j_s} to g(i)
+    times = PrependRewriter(params).times
     table: dict[Word, Coeff] = {}
 
-    def visit(cols: list, coeffs: dict[Word, int], weights: dict[Word, Coeff]) -> None:
-        for i, weight in weights.items():
-            if weight:
+    def visit(j: Word, nf: dict[Word, int]) -> None:
+        for i, c in nf.items():
+            weight = c
+            for p, q in zip(i, j):
+                entry = rows[p - 1][q - 1]
+                if not entry:
+                    break
+                weight = weight * entry
+            else:
                 table[i] = table.get(i, 0) + weight
-        if len(cols) == cap:
-            return
-        terms = [(w, c, weights[w], heads.get(w[:front_len], m)) for w, c in coeffs.items()]
-        if len(cols) + 1 == cap:
-            # the weight is linear in c, so the last level is never built:
-            # kept terms are added scaled by a_aa, and the rewritten terms
-            # of each leaf are summed per word and weighed once
-            for a in range(1, m + 1):
-                diagonal = diagonals[a - 1]
-                merged: dict[Word, int] = {}
-                for w, c, weight, head in terms:
-                    if a > head:
-                        for u, coeff in front((a,) + w).items():
-                            merged[u] = merged.get(u, 0) + c * coeff
-                    elif diagonal and weight:
-                        word = (a,) + w
-                        table[word] = table.get(word, 0) + diagonal * weight
-                if merged:
-                    leaf_cols = [columns[a - 1], *cols]
-                    for u, weight in merged.items():
-                        if not weight:
-                            continue
-                        for letter, col in zip(u, leaf_cols):
-                            entry = col[letter]
-                            if not entry:
-                                break
-                            weight = weight * entry
-                        else:
-                            table[u] = table.get(u, 0) + weight
-            return
-        for a in range(1, m + 1):
-            diagonal = diagonals[a - 1]
-            child: dict[Word, int] = {}
-            child_weights: dict[Word, Coeff] = {}
-            fresh: dict[Word, int] = {}
-            for w, c, weight, head in terms:
-                if a > head:
-                    for u, coeff in front((a,) + w).items():
-                        fresh[u] = fresh.get(u, 0) + c * coeff
-                else:
-                    word = (a,) + w
-                    child[word] = c
-                    child_weights[word] = diagonal * weight if diagonal and weight else 0
-            child_cols = [columns[a - 1], *cols]
-            for u, c in fresh.items():
-                if not c:
-                    continue
-                # a kept term of the same word adds its coefficient, and the
-                # word is weighed afresh with the sum
-                c += child.get(u, 0)
-                if not c:
-                    del child[u], child_weights[u]
-                    continue
-                child[u] = weight = c
-                for letter, col in zip(u, child_cols):
-                    entry = col[letter]
-                    if not entry:
-                        weight = 0
-                        break
-                    weight = weight * entry
-                child_weights[u] = weight
-            visit(child_cols, child, child_weights)
+        if len(j) < cap:
+            for a in range(1, params.m + 1):
+                visit((a,) + j, times(a, nf))
 
-    visit([], {(): 1}, {(): 1})
+    visit((), {(): 1})
     return {i: total for i, total in table.items() if total}
 
 
@@ -218,7 +158,7 @@ class _Universal(NamedTuple):
 
 
 def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
-    # The walk of `_word_table` on the generic matrix, reduced to the words
+    # Depth first over the words j, on the generic matrix, reduced to those
     # whose partition hull has size <= cap.  Every weight is c times one
     # monomial, so a term of NF(j) is (c, key): a kept prepend adds the key
     # of a_aa, and a rewritten word sums the keys of its column entries,
@@ -618,13 +558,11 @@ def _report_from_residuals(params: AlgebraParams, cap: int, mode: str,
 def verify_master(matrix: SymMatrix, params: AlgebraParams, cap: int) -> VerificationReport:
     """Check first_factor(A) * second_factor(A) = 1 up to t-degree cap."""
     totals, codec = _packed_totals(matrix, params, cap)
-    # the second factor packed once and bucketed by t-degree: a content of
-    # size l meets only the buckets of degree <= cap - l
+    # the second factor up to t-degree cap, packed once and bucketed by
+    # t-degree: a content of size l meets only the buckets of degree <= cap - l
     buckets: list[list] = [[] for _ in range(cap + 1)]
-    for mono, coeff in second_factor(matrix, params).terms.items():
-        degree = mono_t_degree(mono)
-        if degree <= cap:
-            buckets[degree].append((codec.pack(mono), coeff))
+    for mono, coeff in second_factor(matrix, params, cap).terms.items():
+        buckets[mono_t_degree(mono)].append((codec.pack(mono), coeff))
     t_places = [codec.places[tvar(i)] for i in range(1, params.m + 1)]
     # residuals[d]: the degree-d part of the product minus that of 1;
     # words of one content share their t-monomial, which each content's

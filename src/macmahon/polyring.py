@@ -175,10 +175,12 @@ class Poly:
         return Poly._raw({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, _SCALARS):
-            other = Poly.constant(other)
+        # a Poly operand is tested first: `Fraction` in _SCALARS is an ABC,
+        # whose isinstance check is several times slower
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Poly.constant(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -195,22 +197,22 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, _SCALARS):
-            other = Poly.constant(other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Poly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, _SCALARS):
+        if not isinstance(other, Poly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             if not other:
                 return Poly.zero()
             return Poly._raw({mono: _normalise(coeff * other) for mono, coeff in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
         acc: dict = {}
         for mono1, coeff1 in self.terms.items():
             for mono2, coeff2 in other.terms.items():

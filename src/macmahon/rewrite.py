@@ -16,11 +16,14 @@ two production engines that reduce in different orders:
 * `normal_form` (the worklist `_normal_form_terms`) always expands the
   leftmost decreasing window of the whole word, sweeping pending words
   from the highest inversion number down.  It serves the `normal-form`
-  command and the per-word oracles of `identity`.
+  command and the oracles `g_coefficient` and `verify_corollary` of
+  `identity`.
 * `PrependRewriter` computes x_a * w for admissible w, rewriting only the
   front window and memoising the rewritten words.  Folding it over a word
-  from the right reduces the suffix first; the first-factor sweep of
-  `identity` uses it one letter at a time.
+  from the right reduces the suffix first.  Both first-factor walks of
+  `identity` use it one letter at a time: the universal sweep reads
+  `heads` and `front` inline, and the per-word oracle `first_factor`
+  calls only `times`, on each whole normal form.
 
 `reversion_vector` and `path_coefficient` recompute normal-form
 coefficients by signed enumeration of reversion paths (the reverse

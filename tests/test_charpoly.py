@@ -224,6 +224,25 @@ def test_second_factor_identity_matrix():
 def test_second_factor_size_mismatch():
     with pytest.raises(ValueError):
         second_factor(SymMatrix.identity(3), AlgebraParams(2, 2))
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        second_factor(SymMatrix.identity(2), AlgebraParams(2, 2), -1)
+
+
+@pytest.mark.parametrize("matrix", [SymMatrix.random(4, seed=3), SymMatrix.random(5, seed=8),
+                                    SymMatrix.symbolic(3), SymMatrix.symbolic(4)],
+                         ids=["random4", "random5", "symbolic3", "symbolic4"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_bounded_second_factor_is_the_full_one_truncated(matrix, k):
+    # the bound stops the walk at c_cap, so it must drop exactly the terms
+    # of t-degree > cap and no other
+    params = AlgebraParams(matrix.m, k)
+    full = second_factor(matrix, params)
+    for cap in range(matrix.m + 2):
+        assert second_factor(matrix, params, cap) == full.truncate_t(cap)
+    scaled = scale_rows_by_t(matrix)
+    coeffs = char_coeffs(scaled)
+    for bound in range(matrix.m + 1):
+        assert char_coeffs(scaled, bound) == coeffs[:bound + 1]
 
 
 def test_random_matrix_reproducible():

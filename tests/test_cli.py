@@ -171,6 +171,14 @@ def test_verify_cap_beyond_the_recursion_exits_2(capsys, argv):
         f"macmahon: error: --cap {argv[-1]} is deeper than the sweep can recurse")
 
 
+def test_verify_on_a_large_identity_matrix_at_a_small_cap(capsys):
+    # the second factor used to be built whole, over all 2**30 leaves of
+    # the identity matrix's expansion, although verify reads t-degree <= 1
+    code, out = run_cli(capsys, "verify", "--m", "30", "--k", "2", "--cap", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
     # "m": true used to load as a 1x1 matrix, since bool is an int
     path = tmp_path / "bool.json"
