@@ -355,13 +355,7 @@ def _add_matrix(sub: argparse.ArgumentParser) -> None:
                      help="64-bit seed, required for --matrix random")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="macmahon",
-        description="Exact checks of a master identity for algebras with degree-k relations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_verify(sub) -> None:
     verify = sub.add_parser("verify", help="check first factor times second factor = 1")
     verify.add_argument("--m", type=int, required=True, help="number of generators")
     verify.add_argument("--k", type=int, required=True, help="relation degree, 2 <= k <= m")
@@ -370,6 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(verify)
     verify.set_defaults(handler=_cmd_verify)
 
+
+def _add_count(sub) -> None:
     count = sub.add_parser("count", help="count admissible words by three methods")
     count.add_argument("--m", type=int, required=True)
     count.add_argument("--k", type=int, required=True)
@@ -378,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(count)
     count.set_defaults(handler=_cmd_count)
 
+
+def _add_series(sub) -> None:
     series = sub.add_parser("series", help="compare the admissible-word series with its closed form")
     series.add_argument("--m", type=int, required=True)
     series.add_argument("--k", type=int, required=True)
@@ -386,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(series)
     series.set_defaults(handler=_cmd_series)
 
+
+def _add_normal_form(sub) -> None:
     nform = sub.add_parser("normal-form", help="rewrite a word into the admissible basis")
     nform.add_argument("--m", type=int, required=True)
     nform.add_argument("--k", type=int, required=True)
@@ -393,17 +393,50 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(nform)
     nform.set_defaults(handler=_cmd_normal_form)
 
+
+def _add_charpoly(sub) -> None:
     charpoly = sub.add_parser("charpoly", help="characteristic coefficients of the row-scaled matrix")
     charpoly.add_argument("--m", type=int, required=True)
     _add_matrix(charpoly)
     _add_format(charpoly)
     charpoly.set_defaults(handler=_cmd_charpoly)
 
+
+# each subcommand's parser, in the order of the usage line
+_COMMANDS = {"verify": _add_verify, "count": _add_count, "series": _add_series,
+             "normal-form": _add_normal_form, "charpoly": _add_charpoly}
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """The top level with one subcommand only.  Its own errors (unrecognized
+    arguments, and those the handlers raise) print the usage line of every
+    subcommand, so they are left to the full parser, built only then."""
+
+    def error(self, message: str):
+        build_parser().error(message)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand `command` alone.
+
+    The subcommand's own parser, its help and its usage errors are the
+    same in both."""
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="macmahon",
+        description="Exact checks of a master identity for algebras with degree-k relations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    for name, add in _COMMANDS.items():
+        if command is None or name == command:
+            add(sub)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the chosen subcommand's parser is built; an unknown command,
+    # top-level help and an empty command line take the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.handler(args, parser)

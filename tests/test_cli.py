@@ -290,6 +290,64 @@ def test_unknown_command_exits_2(capsys):
     assert err.value.code == 2
 
 
+def full_parser_main(argv):
+    # `cli.main` as it was with one parser of every subcommand
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    return args.handler(args, parser)
+
+
+def exit_and_output(capsys, run, argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate", "--m", "3"],
+    ["--format", "json", "verify"],
+    ["-h"],
+    ["verify", "--help"],
+    ["charpoly", "-h"],
+    ["verify", "--m", "3"],
+    ["count", "--m", "3", "--k", "3", "--len", "4", "--variant", "lax"],
+    ["series", "--m", "3", "--k", "3", "--cap", "2", "--bogus"],
+    ["verify", "--m", "3", "--k", "2", "--cap", "2", "extra"],
+    ["verify", "--m", "2", "--k", "3", "--cap", "2"],
+    ["verify", "--m", "3", "--k", "2", "--cap", "2", "--matrix", "random"],
+    ["normal-form", "--m", "3", "--k", "2", "--word", "1,x"],
+    ["charpoly", "--m", "0"],
+], ids=["empty", "unknown-command", "option-before-command", "top-level-help", "command-help",
+        "command-short-help", "missing-option", "invalid-choice", "unrecognized-option",
+        "unrecognized-positional", "handler-params-error", "handler-seed-error", "handler-word-error",
+        "handler-m-error"])
+def test_one_command_parser_keeps_exit_and_output(capsys, argv):
+    # main builds only the chosen subcommand's parser; every exit it takes
+    # through argparse prints what the parser of all subcommands prints
+    expected = exit_and_output(capsys, full_parser_main, argv)
+    assert expected[0] in (0, 2) and expected[1] + expected[2]
+    assert exit_and_output(capsys, cli.main, argv) == expected
+
+
+def test_main_builds_only_the_chosen_subcommand(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def recording(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert run_cli(capsys, "count", "--m", "3", "--k", "3", "--len", "4")[0] == 0
+    assert built == ["count"]
+    assert real("count").format_usage() == "usage: macmahon [-h] {count} ...\n"
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--m", "3", "--k", "3", "--len", "4", "--bogus"])
+    assert built == ["count", "count", None]
+
+
 def test_output_is_deterministic(capsys):
     argv = ["verify", "--m", "3", "--k", "2", "--cap", "4",
             "--matrix", "random", "--seed", "3", "--format", "json"]

@@ -602,7 +602,13 @@ def is_partition(content):
 
 
 @pytest.mark.parametrize("params,cap", [(P33, 5), (AlgebraParams(4, 3), 4), (AlgebraParams(4, 2), 4),
-                                        (AlgebraParams(3, 2), 6)])
+                                        (AlgebraParams(3, 2), 6),
+                                        # nearly every word admissible, hence lean
+                                        (AlgebraParams(4, 4), 6),
+                                        # cap < k: nothing is rewritten
+                                        (AlgebraParams(4, 4), 3),
+                                        # lean nodes of length cap - 1 with rewritten leaves
+                                        (AlgebraParams(4, 3), 5)])
 def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
     # decoded, the universal table holds exactly the partition totals of the
     # per-word sweep of the symbolic matrix, which sweeps every word
@@ -691,15 +697,18 @@ def content_hull_size(content):
 ])
 def test_pruned_sweep_builds_only_words_within_the_hull(m, cap, nodes, leaves):
     # the words j with hull size <= cap, counted by brute force; the last
-    # level (len(j) = cap) is not built but summed from its parents
+    # level (len(j) = cap) is not built but summed from its parents.  The
+    # walk does not depend on k, whether its nodes are lean (admissible j)
+    # or general
     within = [0] * (cap + 1)
     for length in range(cap + 1):
         for j in product(range(1, m + 1), repeat=length):
             if hull_size(j, m) <= cap:
                 within[length] += 1
     assert (sum(within[:cap]), within[cap]) == (nodes, leaves)
-    universal = _universal_sweep(AlgebraParams(m, 2), cap)
-    assert (universal.nodes, universal.leaves) == (nodes, leaves)
+    for k in sorted({2, 3, m}):
+        universal = _universal_sweep(AlgebraParams(m, k), cap)
+        assert (universal.nodes, universal.leaves) == (nodes, leaves), k
 
 
 @st.composite
