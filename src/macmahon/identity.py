@@ -13,10 +13,9 @@ g(i) = sum over j of c(i, j) a_{i_1 j_1} ... a_{i_l j_l}, where c(i, j) is
 the coefficient of x_i in the normal form NF(j) of x_{j_1} ... x_{j_l}.
 A walk gets NF((a,) + j) = x_a * NF(j) by left-multiplying each term of
 its parent's normal form, through `rewrite.PrependRewriter` (all
-rewriting lives in `rewrite`); a word whose coefficient cancels leaves
-the node, so only live terms are weighed.  Its cost is the sum over j of
-|NF(j)|, and only the cap normal forms on the current path of the walk
-are live at any time.
+rewriting lives in `rewrite`); a word whose coefficient cancels is not
+weighed.  Its cost is the sum over j of |NF(j)|, and only the cap normal
+forms on the current path of the walk are live at any time.
 
 `first_factor` is the per-word oracle, and `_word_table` is this
 definition and nothing more: it builds every node with
@@ -56,29 +55,31 @@ matrix a term's weight is c times one monomial, packed into one int
 x_a * w is already admissible, and then the term (a,) + w of the child
 adds the key of a_aa to that of w.  Only the prepends whose front
 k-window is strictly decreasing are rewritten (`PrependRewriter.front`,
-cached).  The rewritten terms of a child are summed per word first, and
-each word whose sum is nonzero sums the keys of its column entries, from
-the columns of A for the letters of j that the sweep carries along its
-path; a key depends only on the word and j, so a rewritten word that
-meets a kept one just adds its c.  Most words the walk builds are
-admissible (16,327 of 16,748 at m = k = 4, cap 8), and for an admissible
-j, NF(j) is j itself, whose weight is the diagonal monomial
-prod_s a_{j_s j_s}.  Such a node is lean: it carries only j, that key
-and head(j), the letter above which x_a * j is rewritten, and builds
-no dict.  Its kept children are lean too.  A child (a,) + j with
-a > head(j) has a strictly decreasing front window, and so has every
-word below it, so that subtree takes the general node, which carries
-NF as {word: c} with a key per word.  The weight is linear in c, so the
-last level (len(j) = cap) is never built: each node of length cap - 1
-adds its leaves' kept and rewritten terms into {key: c} for each
-partition directly.  `_specialise` then forms every content's total from
-its partition's: it reads the digits of each key of U_lambda once and
-evaluates the term at each relabelling of A, skipping the terms on zero
-entries.  Numeric entries
-(int or `Fraction`) are multiplied as scalars; every other entry is
-packed in the codec of A's own variables, so that multiplying two
-monomials is again one integer addition.  For the generic matrix itself
-this is the renaming a_pq -> a_{s(p) s(q)} of U_lambda's keys.
+cached).  A general node carries NF(j) as one dict {word: [c, key]}.
+The kept words of a child are distinct and enter it first; a rewritten
+word then adds its c into the entry it meets, or enters with the sum of
+the keys of its column entries, from the columns of A for the letters of
+j that the sweep carries along its path.  A key depends only on the word
+and j, so merging only adds c's, and a word whose c cancels stays with
+c = 0: it is skipped when its node reads its terms, since it adds 0 to
+every sum.  Most words the walk builds are admissible (16,327 of 16,748
+at m = k = 4, cap 8), and for an admissible j, NF(j) is j itself, whose
+weight is the diagonal monomial prod_s a_{j_s j_s}.  Such a node is lean:
+it carries only j, that key and head(j), the letter above which x_a * j
+is rewritten, and builds no dict.  Its kept children are lean too.  A
+child (a,) + j with a > head(j) has a strictly decreasing front window,
+and so has every word below it, so that subtree takes the general node.
+The weight is linear in c, so the last level (len(j) = cap) is never
+built: each node of length cap - 1 adds its leaves' kept and rewritten
+terms into {key: c} for each partition directly.  `_specialise` then
+forms every content's total from its partition's: it reads the digits
+of each key of U_lambda once (`PackedCodec.digits`) and evaluates the
+term at each relabelling of A, skipping the terms on zero entries.
+Numeric entries (int or `Fraction`) are multiplied as scalars; every
+other entry is packed in the codec of A's own variables, so that
+multiplying two monomials is again one integer addition.  For the
+generic matrix itself this is the renaming a_pq -> a_{s(p) s(q)} of
+U_lambda's keys.
 
 The table costs its whole walk even where A has many zeros, whose terms
 a walk of A itself would not weigh, so on the identity matrix `verify`
@@ -171,7 +172,9 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
     # monomial, so a term of NF(j) is (c, key): a kept prepend adds the key
     # of a_aa, and a rewritten word sums the keys of its column entries,
     # cols[s][b] = key of a_{b j_s}.  A word's key depends only on the word
-    # and j, so a rewritten word that meets a kept one just adds its c.
+    # and j, so the general `visit` carries NF(j) as {word: [c, key]}, and a
+    # rewritten word that meets a kept one just adds its c; a word whose c
+    # cancels stays with c = 0 and is skipped.
     # Only the totals of partition contents are kept: the others follow by
     # relabelling (`_specialise`).  The last level (len(j) = cap, all of
     # partition content) is summed from its parent and never built.
@@ -208,17 +211,15 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
             child_table[content] = children
         return children
 
-    def visit(cols: list, content: tuple, coeffs: dict[Word, int], keys: dict[Word, int],
-              sums: Optional[dict]) -> None:
+    def visit(cols: list, content: tuple, nf: dict[Word, list], sums: Optional[dict]) -> None:
+        # NF(j) as {word: [c, key]}; len(j) <= cap - 1, as the last level is
+        # never built
         nonlocal nodes, leaves
         nodes += 1
+        terms = [(w, c, key, heads.get(w[:front_len], m)) for w, (c, key) in nf.items() if c]
         if sums is not None:
-            for w, c in coeffs.items():
-                key = keys[w]
+            for _, c, key, _ in terms:
                 sums[key] = sums.get(key, 0) + c
-        if len(cols) == cap:
-            return
-        terms = [(w, c, keys[w], heads.get(w[:front_len], m)) for w, c in coeffs.items()]
         children = children_of(content)
         if len(cols) + 1 == cap:
             leaves += len(children)
@@ -241,30 +242,19 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
             return
         for a, child_content, child_sums in children:
             diagonal = diagonals[a - 1]
-            child: dict[Word, int] = {}
-            child_keys: dict[Word, int] = {}
-            fresh: dict[Word, int] = {}
+            # the kept words (a,) + w are distinct; a rewritten word adds
+            # into its entry, or enters with the key of its columns
+            child = {(a,) + w: [c, key + diagonal] for w, c, key, head in terms if a <= head}
+            child_cols = [columns[a - 1], *cols]
             for w, c, key, head in terms:
                 if a > head:
                     for u, coeff in front((a,) + w).items():
-                        fresh[u] = fresh.get(u, 0) + c * coeff
-                else:
-                    word = (a,) + w
-                    child[word] = c
-                    child_keys[word] = key + diagonal
-            child_cols = [columns[a - 1], *cols]
-            for u, c in fresh.items():
-                if not c:
-                    continue
-                kept = child.get(u)
-                if kept is None:
-                    child[u] = c
-                    child_keys[u] = sum(map(getitem, child_cols, u))
-                elif kept + c:
-                    child[u] = kept + c
-                else:
-                    del child[u], child_keys[u]
-            visit(child_cols, child_content, child, child_keys, child_sums)
+                        entry = child.get(u)
+                        if entry is None:
+                            child[u] = [c * coeff, sum(map(getitem, child_cols, u))]
+                        else:
+                            entry[0] += c * coeff
+            visit(child_cols, child_content, child, child_sums)
 
     def lean(content: tuple, j: Word, key: int, head: int, sums: Optional[dict]) -> None:
         # the admissible word j, of weight 1 * key; the columns of j are
@@ -294,9 +284,8 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
             word = (a,) + j
             if a > head:
                 child_cols = [columns[b - 1] for b in word]
-                nf = front(word)
-                visit(child_cols, child_content, nf, {u: sum(map(getitem, child_cols, u)) for u in nf},
-                      child_sums)
+                visit(child_cols, child_content,
+                      {u: [c, sum(map(getitem, child_cols, u))] for u, c in front(word).items()}, child_sums)
             else:
                 lean(child_content, word, key + diagonals[a - 1], heads.get(word[:front_len], m), child_sums)
 
@@ -378,16 +367,21 @@ def max_sweep_cap() -> int:
     return sys.getrecursionlimit() // 4
 
 
-def _check_arguments(matrix: SymMatrix, params: AlgebraParams, cap: int) -> None:
-    # the argument checks of every first-factor route
+def _check_matrix(matrix: SymMatrix, params: AlgebraParams) -> None:
+    # the matrix checks of every first-factor route, `g_coefficient` too
     if matrix.m != params.m:
         raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
+    if any(var[0] == "t" for row in matrix.entries for entry in row for mono in entry.terms for var, _ in mono):
+        raise ValueError("matrix entries must not involve the markers t_i")
+
+
+def _check_arguments(matrix: SymMatrix, params: AlgebraParams, cap: int) -> None:
+    # the argument checks of every route that takes a cap
+    _check_matrix(matrix, params)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if cap > max_sweep_cap():
         raise ValueError(f"cap {cap} is deeper than the sweep can recurse (at most {max_sweep_cap()})")
-    if any(var[0] == "t" for row in matrix.entries for entry in row for mono in entry.terms for var, _ in mono):
-        raise ValueError("matrix entries must not involve the markers t_i")
 
 
 def _entry_codec(matrix: SymMatrix, params: AlgebraParams, cap: int) -> PackedCodec:
@@ -423,12 +417,12 @@ def _specialise(universal: _Universal, matrix: SymMatrix, codec: PackedCodec) ->
     # FF_gamma(A) for every content gamma, as {packed monomial: coeff} in
     # `codec`: with gamma_{s(i)} = lambda_i, it is U_lambda with each a_pq
     # replaced by A_{s(p) s(q)}.  The digits of each key of U_lambda (digit
-    # (p - 1) * m + q - 1 for a_pq) are read once, as
-    # [(cell, exponent)], and each term is then evaluated at every
+    # (p - 1) * m + q - 1 for a_pq) are read once, by `PackedCodec.digits`,
+    # as [(cell, exponent)], and each term is then evaluated at every
     # relabelling of A; a term on a zero entry is skipped.  Numeric
     # entries are multiplied as scalars, others as packed terms.  Many
     # partitions share an s, so each relabelled matrix is formed once.
-    m, base = matrix.m, universal.codec.base
+    m, digits = matrix.m, universal.codec.digits
     if matrix.is_numeric():
         cells = [value for row in matrix.scalar_rows() for value in row]
         evaluate = _evaluate_scalar
@@ -439,16 +433,7 @@ def _specialise(universal: _Universal, matrix: SymMatrix, codec: PackedCodec) ->
     relabelled: dict[tuple, list] = {}
     totals = {}
     for partition, table in universal.totals.items():
-        terms = []
-        for key, c in table.items():
-            digits = []
-            cell = 0
-            while key:
-                key, exp = divmod(key, base)
-                if exp:
-                    digits.append((cell, exp))
-                cell += 1
-            terms.append((c, digits))
+        terms = [(c, digits(key)) for key, c in table.items()]
         for content, s in _rearrangements(partition):
             cells_s = relabelled.get(s)
             if cells_s is None:
@@ -531,8 +516,7 @@ def g_coefficient(matrix: SymMatrix, word: Sequence[int], params: AlgebraParams)
     w = validate_word(word, params.m)
     if not is_admissible(w, params):
         raise ValueError(f"word {w!r} is not admissible")
-    if matrix.m != params.m:
-        raise ValueError(f"matrix size {matrix.m} does not match m={params.m}")
+    _check_matrix(matrix, params)
     rows = _entry_rows(matrix)
     nf_cache: dict[Word, dict[Word, int]] = {}
     vec: dict[Word, Coeff] = {(): 1}

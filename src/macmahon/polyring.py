@@ -326,18 +326,27 @@ class PackedCodec:
             key += exp * self.places[var]
         return key
 
-    def unpack(self, key: int) -> Monomial:
-        # the digits come out in variable order, so the monomial is sorted
-        mono = []
-        for var in self.variables:
-            if not key:
-                break
+    def digits(self, key: int) -> list[tuple[int, int]]:
+        """The nonzero digits of `key` as [(index, exp)], in index order:
+        the variable `variables[index]` has exponent `exp`."""
+        if key < 0:
+            raise ValueError("packed key is negative")
+        digits = []
+        index = 0
+        while key:
             key, exp = divmod(key, self.base)
             if exp:
-                mono.append((var, exp))
-        if key:
+                digits.append((index, exp))
+            index += 1
+        return digits
+
+    def unpack(self, key: int) -> Monomial:
+        # the digits come out in variable order, so the monomial is sorted;
+        # the last one is the leading digit
+        digits = self.digits(key)
+        if digits and digits[-1][0] >= len(self.variables):
             raise ValueError("packed key has more digits than variables")
-        return tuple(mono)
+        return tuple((self.variables[index], exp) for index, exp in digits)
 
     def decode(self, terms: Mapping[int, Scalar]) -> Poly:
         """The `Poly` of {packed monomial: coeff}."""

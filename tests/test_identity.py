@@ -19,6 +19,7 @@ from macmahon.identity import (
 from macmahon.polyring import Poly, TruncatedSeries, avar, tvar, word_t_monomial
 from macmahon.rewrite import PrependRewriter, _normal_form_terms, reversion_vector
 from macmahon.words import AlgebraParams, enumerate_admissible, is_admissible
+from universal_invariants import invariant_failure
 
 P22 = AlgebraParams(2, 2)
 P32 = AlgebraParams(3, 2)
@@ -87,6 +88,9 @@ def test_g_coefficient_validation():
         first_factor(SymMatrix.identity(2), P33, 3)
     with pytest.raises(ValueError):
         first_factor(SymMatrix.identity(3), P33, -1)
+    # the markers are refused here as by every other first-factor route
+    with pytest.raises(ValueError, match="must not involve the markers t_i"):
+        g_coefficient(SymMatrix.from_rows([[1, Poly.variable(tvar(2))], [0, 1]]), (1, 2), P22)
 
 
 def test_identity_matrix_gives_indicator():
@@ -601,14 +605,16 @@ def is_partition(content):
     return list(content) == sorted(content, reverse=True)
 
 
-@pytest.mark.parametrize("params,cap", [(P33, 5), (AlgebraParams(4, 3), 4), (AlgebraParams(4, 2), 4),
-                                        (AlgebraParams(3, 2), 6),
-                                        # nearly every word admissible, hence lean
-                                        (AlgebraParams(4, 4), 6),
-                                        # cap < k: nothing is rewritten
-                                        (AlgebraParams(4, 4), 3),
-                                        # lean nodes of length cap - 1 with rewritten leaves
-                                        (AlgebraParams(4, 3), 5)])
+SWEEP_SHAPES = [(P33, 5), (AlgebraParams(4, 3), 4), (AlgebraParams(4, 2), 4), (AlgebraParams(3, 2), 6),
+                # nearly every word admissible, hence lean
+                (AlgebraParams(4, 4), 6),
+                # cap < k: nothing is rewritten
+                (AlgebraParams(4, 4), 3),
+                # lean nodes of length cap - 1 with rewritten leaves
+                (AlgebraParams(4, 3), 5)]
+
+
+@pytest.mark.parametrize("params,cap", SWEEP_SHAPES)
 def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
     # decoded, the universal table holds exactly the partition totals of the
     # per-word sweep of the symbolic matrix, which sweeps every word
@@ -616,6 +622,38 @@ def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
     expected = per_content(first_factor(SymMatrix.symbolic(params.m), params, cap), params.m)
     assert {partition: universal.codec.decode(table) for partition, table in universal.totals.items()} \
         == {content: total for content, total in expected.items() if is_partition(content)}
+
+
+@pytest.mark.parametrize("params,cap", SWEEP_SHAPES + [(AlgebraParams(4, 3), 8), (AlgebraParams(4, 4), 8),
+                                                       (AlgebraParams(5, 3), 6), (AlgebraParams(4, 2), 7)])
+def test_universal_table_keeps_transposition_and_diagonal(params, cap):
+    # two exact properties that need no oracle, so they reach deeper shapes
+    # than the per-word sweep above (CI runs them deeper still)
+    assert invariant_failure(_universal_sweep(params, cap), params, cap) is None
+
+
+def test_universal_invariants_name_the_first_broken_partition():
+    universal = _universal_sweep(P33, 4)
+    place = universal.codec.places
+
+    def failure(partition, table):
+        totals = {**universal.totals, partition: table}
+        return invariant_failure(universal._replace(totals=totals), P33, 4)
+
+    assert failure((2, 1, 0), universal.totals[(2, 1, 0)]) is None
+    # a partition with admissible words but no total
+    totals = {p: table for p, table in universal.totals.items() if p != (1, 1, 0)}
+    assert invariant_failure(universal._replace(totals=totals), P33, 4).startswith("partition (1, 1, 0): ")
+    # a diagonal coefficient off by one
+    diagonal = 2 * place[avar(1, 1)] + place[avar(2, 2)]
+    table = {**universal.totals[(2, 1, 0)]}
+    table[diagonal] += 1
+    assert failure((2, 1, 0), table).startswith("partition (2, 1, 0): the coefficient of its diagonal")
+    # a term whose transpose is missing
+    table = {**universal.totals[(2, 1, 0)], place[avar(1, 1)] + place[avar(1, 2)] + place[avar(3, 1)]: 5}
+    assert failure((2, 1, 0), table) == "partition (2, 1, 0): the total changes under a_pq <-> a_qp"
+    # a content that is not a partition
+    assert failure((0, 1, 0), {place[avar(2, 2)]: 1}).startswith("content (0, 1, 0): ")
 
 
 def test_every_matrix_takes_the_universal_sweep(monkeypatch):

@@ -234,6 +234,25 @@ def test_packed_codec_round_trip_and_products(mono, left, right):
     assert codec.decode(terms) == expected
 
 
+@given(codec_monomials(6))
+@settings(max_examples=60)
+def test_packed_codec_digits_round_trip(mono):
+    # the nonzero digits, in index order, name the variables and exponents
+    codec = PackedCodec(reversed(_CODEC_VARS), 7)
+    key = codec.pack(mono)
+    digits = codec.digits(key)
+    assert tuple((codec.variables[index], exp) for index, exp in digits) == mono
+    assert sum(exp * codec.base ** index for index, exp in digits) == key
+
+
+def test_packed_codec_digits_skip_zero_digits():
+    codec = PackedCodec([tvar(1), avar(1, 1)], 3)
+    assert codec.digits(0) == []
+    assert codec.digits(2 + 1 * 3 ** 2) == [(0, 2), (2, 1)]
+    with pytest.raises(ValueError, match="negative"):
+        codec.digits(-1)
+
+
 def test_packed_codec_bounds():
     codec = PackedCodec([tvar(1), avar(1, 1)], 3)
     assert codec.variables == (avar(1, 1), tvar(1))
