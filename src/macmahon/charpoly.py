@@ -103,8 +103,11 @@ class SymMatrix:
 
         The generator is fixed so identical seeds give identical matrices on
         any platform; out-of-range draws are rejected to keep the
-        distribution exactly uniform.
+        distribution exactly uniform.  The seed is a 64-bit integer, 0 to
+        2**64 - 1; any other raises ValueError.
         """
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed} is outside 0..2**64 - 1")
         if low > high:
             raise ValueError(f"empty entry range: low={low} > high={high}")
         span = high - low + 1
@@ -147,7 +150,7 @@ def _as_poly(value: Union[Poly, Scalar, str]) -> Poly:
 
 
 def _splitmix64(seed: int) -> Iterator[int]:
-    state = seed & _MASK64
+    state = seed
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state

@@ -86,7 +86,10 @@ def _load_matrix(args, parser: argparse.ArgumentParser) -> SymMatrix:
     if spec == "random":
         if args.seed is None:
             parser.error("--matrix random requires --seed")
-        return SymMatrix.random(args.m, args.seed)
+        try:
+            return SymMatrix.random(args.m, args.seed)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             obj = json.load(handle)

@@ -55,23 +55,37 @@ matrix a term's weight is c times one monomial, packed into one int
 x_a * w is already admissible, and then the term (a,) + w of the child
 adds the key of a_aa to that of w.  Only the prepends whose front
 k-window is strictly decreasing are rewritten (`PrependRewriter.front`,
-cached).  A general node carries NF(j) as one dict {word: [c, key]}.
-The kept words of a child are distinct and enter it first; a rewritten
-word then adds its c into the entry it meets, or enters with the sum of
-the keys of its column entries, from the columns of A for the letters of
-j that the sweep carries along its path.  A key depends only on the word
-and j, so merging only adds c's, and a word whose c cancels stays with
-c = 0: it is skipped when its node reads its terms, since it adds 0 to
-every sum.  Most words the walk builds are admissible (16,327 of 16,748
-at m = k = 4, cap 8), and for an admissible j, NF(j) is j itself, whose
-weight is the diagonal monomial prod_s a_{j_s j_s}.  Such a node is lean:
-it carries only j, that key and head(j), the letter above which x_a * j
-is rewritten, and builds no dict.  Its kept children are lean too.  A
-child (a,) + j with a > head(j) has a strictly decreasing front window,
-and so has every word below it, so that subtree takes the general node.
-The weight is linear in c, so the last level (len(j) = cap) is never
-built: each node of length cap - 1 adds its leaves' kept and rewritten
-terms into {key: c} for each partition directly.  `_specialise` then
+cached), and of the other arrangements of that window only those that
+leave a decreasing window at their junction with the rest of the word
+are rewritten further.  A general node carries NF(j) as one dict
+{word: [c, key]}.  The kept words of a child are distinct and enter it
+first; a rewritten word then adds its c into the entry it meets, or
+enters with the sum of the keys of its column entries, from the columns
+of A for the letters of j that the sweep carries along its path.  A key
+depends only on the word and j, so merging only adds c's, and a word
+whose c cancels stays with c = 0: it is skipped when its node reads its
+terms, since it adds 0 to every sum.
+
+Most words within the hull are admissible (16,327 of 16,748 at
+m = k = 4, cap 8), and for an admissible j, NF(j) is j itself, whose
+weight is the diagonal monomial prod_s a_{j_s j_s} of its content.  So
+the admissible part of U_lambda is N_lambda at that diagonal key, where
+N_lambda counts the admissible words of content lambda, and these words
+are counted, not walked: a dynamic program runs over the contents whose
+hull fits, size by size, with the state (first letter, length of the
+decreasing run the word opens with).  The walk passes through an
+admissible j only to reach the children (a,) + j with a > head(j), the
+letter above which x_a * j is rewritten: such a child has a strictly
+decreasing front window, and so has every word below it, so that
+subtree takes the general node.  An admissible node is lean: it carries
+its content, j and its opening run, builds no dict and adds no sum, and
+it is entered only if a rewritten word below it can fit in the cap:
+that takes at least k - run more letters, or k if the climbing letters
+would pass m.  At m = k = 4, cap 8 the walk enters 1,010 lean nodes
+and 187 general ones.  The weight is linear in c, so the last level
+(len(j) = cap) is never built: each node of length cap - 1 adds its
+leaves' kept and rewritten terms into {key: c} for each partition
+directly.  `_specialise` then
 forms every content's total from its partition's: it reads the digits
 of each key of U_lambda once (`PackedCodec.digits`) and evaluates the
 term at each relabelling of A, skipping the terms on zero entries.
@@ -157,8 +171,10 @@ class _Universal(NamedTuple):
     """The first-factor totals U_lambda of the generic matrix (a_pq), one
     per partition lambda, each as {key: c}: the key packs the exponents of
     the a_pq in `codec`, whose digit (p - 1) * m + q - 1 is that of a_pq.
-    `nodes` counts the words the sweep built and `leaves` the words of
-    length cap it summed without building them."""
+    `nodes` counts the words of length < cap that the sweep covers (the
+    empty word even at cap 0) and `leaves` those of length cap, summed
+    without being built: the admissible ones by count, the others as the
+    general walk meets them."""
 
     totals: dict[tuple, dict[int, int]]
     codec: PackedCodec
@@ -178,18 +194,21 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
     # Only the totals of partition contents are kept: the others follow by
     # relabelling (`_specialise`).  The last level (len(j) = cap, all of
     # partition content) is summed from its parent and never built.
-    # Most words j are admissible, and then NF(j) is j itself: `lean` walks
-    # them as (content, j, key, head) with no dicts, where key is the sum
-    # of the diagonal places of j's letters and head = head(j).  Its child
-    # (a,) + j is lean while a <= head; for a > head the child has a
-    # decreasing front window, which every word below it keeps, so its
-    # subtree goes to the general `visit`, starting from front((a,) + j).
-    m = params.m
+    # An admissible word j is its own normal form and adds 1 at the diagonal
+    # key of its content, so these words are counted, not walked: N_gamma,
+    # the number of admissible words of content gamma, comes from a dynamic
+    # program over the contents whose hull fits.  `lean(content, j, run)`
+    # walks an admissible j only to reach its children (a,) + j with
+    # a > head(j), which have a decreasing front window, as has every word
+    # below them, so their subtrees go to the general `visit`, starting
+    # from front((a,) + j).  `run` is the length of the decreasing run j
+    # opens with, and head(j) is j's first letter once run = k - 1.
+    m, k = params.m, params.k
     # a word of length l <= cap has l entries, so no exponent exceeds cap
     codec = PackedCodec([avar(p, q) for p in range(1, m + 1) for q in range(1, m + 1)], max(cap, 1) + 1)
     places = codec.places
     rewriter = PrependRewriter(params)
-    front, heads, front_len = rewriter.front, rewriter.heads, params.k - 1
+    front, heads, front_len = rewriter.front, rewriter.heads, k - 1
     diagonals = [places[avar(a, a)] for a in range(1, m + 1)]
     # columns[b - 1][a] = key of a_ab (index 0 unused)
     columns = [(None, *(places[avar(a, b)] for a in range(1, m + 1))) for b in range(1, m + 1)]
@@ -210,6 +229,38 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
                     children.append((a, child, totals.setdefault(child, {}) if partition else None))
             child_table[content] = children
         return children
+
+    # N_gamma, size by size: each content's admissible words by their state
+    # (first letter, length of the decreasing run they open with), the empty
+    # word as (0, 0); a prepend that would open a run of k letters is cut.
+    # Every partition's diagonal key gets its N, and the words are counted
+    # as the walk would have built them (the root even at cap 0)
+    zero = (0,) * m
+    totals[zero] = {}
+    level = {zero: (0, {(0, 0): 1})}
+    for size in range(cap + 1):
+        following: dict[tuple, tuple[int, dict]] = {}
+        for content, (key, states) in level.items():
+            count = sum(states.values())
+            if size < max(cap, 1):
+                nodes += count
+            else:
+                leaves += count
+            sums = totals.get(content)
+            if sums is not None:
+                sums[key] = sums.get(key, 0) + count
+            if size == cap:
+                continue
+            for a, child, _ in children_of(content):
+                entry = following.get(child)
+                if entry is None:
+                    entry = following[child] = (key + diagonals[a - 1], {})
+                child_states = entry[1]
+                for (first, run), n in states.items():
+                    run = run + 1 if a > first else 1
+                    if run < k:
+                        child_states[a, run] = child_states.get((a, run), 0) + n
+        level = following
 
     def visit(cols: list, content: tuple, nf: dict[Word, list], sums: Optional[dict]) -> None:
         # NF(j) as {word: [c, key]}; len(j) <= cap - 1, as the last level is
@@ -256,29 +307,23 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
                             entry[0] += c * coeff
             visit(child_cols, child_content, child, child_sums)
 
-    def lean(content: tuple, j: Word, key: int, head: int, sums: Optional[dict]) -> None:
-        # the admissible word j, of weight 1 * key; the columns of j are
-        # formed only for a rewritten child
-        nonlocal nodes, leaves
-        nodes += 1
-        if sums is not None:
-            sums[key] = sums.get(key, 0) + 1
-        depth = len(j)
-        if depth == cap:
-            return
+    def lean(content: tuple, j: Word, run: int) -> None:
+        # the admissible word j, whose own term the count above holds; the
+        # columns of j are formed only for a rewritten child
+        nonlocal leaves
+        first = j[0] if j else 0
+        head = first if run == k - 1 else m
+        depth = len(j) + 1
         children = children_of(content)
-        if depth + 1 == cap:
-            leaves += len(children)
+        if depth == cap:
             for a, _, leaf_sums in children:
                 if a > head:
+                    leaves += 1
                     word = (a,) + j
                     leaf_cols = [columns[b - 1] for b in word]
                     for u, c in front(word).items():
                         u_key = sum(map(getitem, leaf_cols, u))
                         leaf_sums[u_key] = leaf_sums.get(u_key, 0) + c
-                else:
-                    leaf_key = key + diagonals[a - 1]
-                    leaf_sums[leaf_key] = leaf_sums.get(leaf_key, 0) + 1
             return
         for a, child_content, child_sums in children:
             word = (a,) + j
@@ -286,10 +331,18 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
                 child_cols = [columns[b - 1] for b in word]
                 visit(child_cols, child_content,
                       {u: [c, sum(map(getitem, child_cols, u))] for u, c in front(word).items()}, child_sums)
-            else:
-                lean(child_content, word, key + diagonals[a - 1], heads.get(word[:front_len], m), child_sums)
+                continue
+            child_run = run + 1 if a > first else 1
+            # reach: the fewest prepends before a word below the child is
+            # rewritten, k - run climbing letters if they fit below m, else
+            # one letter that ends the run and k - 1 climbing ones
+            reach = k - child_run if a + k - 1 - child_run < m else k
+            if depth + reach <= cap:
+                lean(child_content, word, child_run)
 
-    lean((0,) * m, (), 0, m, totals.setdefault((0,) * m, {}))
+    # the empty word needs k prepends before any rewriting
+    if k <= cap:
+        lean(zero, (), 0)
     live = {}
     for partition, sums in totals.items():
         table = {key: c for key, c in sums.items() if c}

@@ -114,6 +114,22 @@ def _arrangements(block: Word) -> list[tuple[Word, int, int]]:
     return out
 
 
+def _opening_run(word: Word) -> int:
+    # the length of the strictly decreasing run that a nonempty word opens with
+    run = 1
+    while run < len(word) and word[run - 1] > word[run]:
+        run += 1
+    return run
+
+
+def _ending_run(word: Word) -> int:
+    # the length of the strictly decreasing run that a nonempty word ends with
+    run = 1
+    while run < len(word) and word[-run - 1] > word[-run]:
+        run += 1
+    return run
+
+
 def _expand_at(word: Word, start: int, k: int) -> list[tuple[Word, int]]:
     prefix, suffix = word[:start], word[start + k:]
     return [
@@ -196,32 +212,48 @@ class PrependRewriter:
     when w opens with a strictly decreasing (k-1)-window whose first letter
     is below a.  Solving the defining relation for that window gives the
     other arrangements of its letters, each followed by the admissible rest
-    of w, and each arrangement is left-multiplied onto that rest one letter
-    at a time.  Every word rewritten on the way has fewer inversions than
-    (a,) + w, so the recursion ends.
+    of w.  Most of these words are admissible already, and only those with a
+    decreasing k-window across the junction are left-multiplied onto the
+    rest one letter at a time.  Every word rewritten on the way has fewer
+    inversions than (a,) + w, so the recursion ends.
     """
 
     def __init__(self, params: AlgebraParams):
         self.m, self.k = params.m, params.k
         self.heads = {d: d[0] for d in combinations(range(self.m, 0, -1), self.k - 1)}
         self.cache: dict[Word, dict[Word, int]] = {}
-        self.blocks: dict[Word, list[tuple[Word, int, int]]] = {}
+        # block -> [(arrangement, sign, its last letter, the length of the
+        # decreasing run it ends with)]
+        self.blocks: dict[Word, list[tuple[Word, int, int, int]]] = {}
 
     def head(self, w: Word) -> int:
         """x_a * w needs rewriting exactly when a > head(w)."""
         return self.heads.get(w[:self.k - 1], self.m)
 
     def front(self, word: Word) -> dict[Word, int]:
-        """NF(word) for a word (a,) + w with x_a * w needing rewriting."""
+        """NF(word) for a word (a,) + w with x_a * w needing rewriting.
+
+        An arrangement arr of the front block has no decreasing k-window of
+        its own, and the rest is admissible, so arr + rest has one only
+        where arr's ending decreasing run and the rest's opening one meet:
+        when last(arr) > rest[0] and the two runs add up to k or more.  The
+        other arrangements give their word directly; these are folded onto
+        the rest with `times`.  An empty rest leaves every arr admissible.
+        """
         nf = self.cache.get(word)
         if nf is None:
             k = self.k
             block, rest = word[:k], word[k:]
             arrangements = self.blocks.get(block)
             if arrangements is None:
-                arrangements = self.blocks[block] = _arrangements(block)
+                arrangements = self.blocks[block] = [(arr, sign, arr[-1], _ending_run(arr))
+                                                     for arr, sign, _ in _arrangements(block)]
+            first, opening = (rest[0], _opening_run(rest)) if rest else (self.m, 0)
             nf = {}
-            for arranged, sign, _ in arrangements:
+            for arranged, sign, last, run in arrangements:
+                if last <= first or run + opening < k:
+                    _accumulate(nf, arranged + rest, sign)
+                    continue
                 vec = {rest: 1}
                 for letter in reversed(arranged):
                     vec = self.times(letter, vec)

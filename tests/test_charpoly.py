@@ -257,6 +257,15 @@ def test_random_matrix_reproducible():
     assert all(-3 <= v <= 3 for v in flat)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -1, 2 ** 64 + 5])
+def test_random_matrix_refuses_seeds_outside_64_bits(seed):
+    # masked to 64 bits, 2**64 gave the matrix of seed 0 and -1 that of
+    # 2**64 - 1; both ends of the range stay valid and distinct
+    with pytest.raises(ValueError, match=f"seed {seed} is outside 0..2\\*\\*64 - 1"):
+        SymMatrix.random(3, seed=seed)
+    assert SymMatrix.random(3, seed=0) != SymMatrix.random(3, seed=2 ** 64 - 1)
+
+
 def test_random_matrix_range_bounds():
     # an empty range must fail at once instead of rejecting draws forever
     with pytest.raises(ValueError):

@@ -75,6 +75,19 @@ def test_verify_usage_errors(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+def test_verify_seed_outside_64_bits_exits_2(capsys, seed):
+    # these used to alias the seeds 0 and 2**64 - 1
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--m", "2", "--k", "2", "--cap", "2", "--matrix", "random", "--seed", seed])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ")
+    assert error == f"macmahon: error: seed {seed} is outside 0..2**64 - 1"
+
+
 @pytest.mark.parametrize("argv", [["--m", "0", "--matrix", "symbolic"], ["--m", "-1"]])
 def test_charpoly_nonpositive_m_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:

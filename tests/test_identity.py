@@ -625,7 +625,8 @@ def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
 
 
 @pytest.mark.parametrize("params,cap", SWEEP_SHAPES + [(AlgebraParams(4, 3), 8), (AlgebraParams(4, 4), 8),
-                                                       (AlgebraParams(5, 3), 6), (AlgebraParams(4, 2), 7)])
+                                                       (AlgebraParams(5, 3), 6), (AlgebraParams(4, 2), 7),
+                                                       (AlgebraParams(5, 4), 7), (AlgebraParams(5, 5), 7)])
 def test_universal_table_keeps_transposition_and_diagonal(params, cap):
     # two exact properties that need no oracle, so they reach deeper shapes
     # than the per-word sweep above (CI runs them deeper still)

@@ -197,6 +197,39 @@ def test_worklist_matches_reversion_for_larger_k(k, monkeypatch):
         assert prepend_fold(j, rewriter) == vec, j
 
 
+def opening_run(word):
+    # the length of the strictly decreasing run a word opens with, 0 if empty
+    run = 1 if word else 0
+    while run < len(word) and word[run - 1] > word[run]:
+        run += 1
+    return run
+
+
+@pytest.mark.parametrize("m,k", [(3, 2), (4, 3), (4, 4), (5, 4)])
+def test_front_matches_the_worklist(m, k):
+    # front((a,) + w) for every admissible w of length <= 5 and a > head(w),
+    # and to 2k - 2, where the rest w[k-1:] can open with a run of k - 1.
+    # An arrangement of the front block followed by the rest is added
+    # directly unless a decreasing k-window crosses their junction, so the
+    # rests include the empty one and ones that open with runs of k - 2 and
+    # k - 1 letters, and both kinds of arrangement occur
+    p = AlgebraParams(m, k)
+    rewriter = PrependRewriter(p)
+    runs = set()
+    crossing = Counter()
+    for length in range(max(5, 2 * k - 2) + 1):
+        for w in enumerate_admissible(p, length):
+            for a in range(rewriter.head(w) + 1, m + 1):
+                word = (a,) + w
+                assert rewriter.front(word) == normal_form(word, p).terms, word
+                block, rest = word[:k], word[k:]
+                runs.add(opening_run(rest))
+                for arr, _, _ in rewrite._arrangements(block):
+                    crossing[not is_admissible(arr + rest, p)] += 1
+    assert {0, k - 1} | ({k - 2} if k > 2 else set()) <= runs
+    assert crossing[True] and crossing[False]
+
+
 def test_k2_path_coefficients_are_indicator():
     p = AlgebraParams(4, 2)
     for length in range(5):
