@@ -106,8 +106,8 @@ class SymMatrix:
         distribution exactly uniform.  The seed is a 64-bit integer, 0 to
         2**64 - 1; any other raises ValueError.
         """
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed {seed} is outside 0..2**64 - 1")
+        if type(seed) is not int or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed!r} is not an integer in 0..2**64 - 1")
         if low > high:
             raise ValueError(f"empty entry range: low={low} > high={high}")
         span = high - low + 1

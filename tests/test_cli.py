@@ -85,7 +85,7 @@ def test_verify_seed_outside_64_bits_exits_2(capsys, seed):
     assert captured.out == ""
     usage, error = captured.err.splitlines()
     assert usage.startswith("usage: ")
-    assert error == f"macmahon: error: seed {seed} is outside 0..2**64 - 1"
+    assert error == f"macmahon: error: seed {seed} is not an integer in 0..2**64 - 1"
 
 
 @pytest.mark.parametrize("argv", [["--m", "0", "--matrix", "symbolic"], ["--m", "-1"]])
