@@ -236,9 +236,10 @@ class PrependRewriter:
         An arrangement arr of the front block has no decreasing k-window of
         its own, and the rest is admissible, so arr + rest has one only
         where arr's ending decreasing run and the rest's opening one meet:
-        when last(arr) > rest[0] and the two runs add up to k or more.  The
-        other arrangements give their word directly; these are folded onto
-        the rest with `times`.  An empty rest leaves every arr admissible.
+        when last(arr) > rest[0] and the two runs add up to k or more.  Only
+        those arrangements are folded onto the rest with `times`; every
+        other one gives arr + rest directly.  An empty rest leaves every arr
+        admissible.
         """
         nf = self.cache.get(word)
         if nf is None:

@@ -260,9 +260,9 @@ def test_random_matrix_reproducible():
 
 @pytest.mark.parametrize("seed", [2 ** 64, -1, 2 ** 64 + 5, True, 1.5])
 def test_random_matrix_refuses_seeds_outside_64_bits(seed):
-    # masked to 64 bits, 2**64 gave the matrix of seed 0 and -1 that of
-    # 2**64 - 1; True gave that of 1.  Both ends of the range stay valid
-    # and distinct
+    # a seed masked to 64 bits would give 2**64 the matrix of seed 0, -1
+    # that of 2**64 - 1 and True that of 1.  Both ends of the range stay
+    # valid and distinct
     with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an integer in 0..2**64 - 1")):
         SymMatrix.random(3, seed=seed)
     assert SymMatrix.random(3, seed=0) != SymMatrix.random(3, seed=2 ** 64 - 1)

@@ -77,7 +77,7 @@ def test_verify_usage_errors(capsys):
 
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
 def test_verify_seed_outside_64_bits_exits_2(capsys, seed):
-    # these used to alias the seeds 0 and 2**64 - 1
+    # masked to 64 bits, these would alias the seeds 0 and 2**64 - 1
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "--m", "2", "--k", "2", "--cap", "2", "--matrix", "random", "--seed", seed])
     assert err.value.code == 2
