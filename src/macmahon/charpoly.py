@@ -204,10 +204,13 @@ def scale_rows_by_t(matrix: SymMatrix) -> SymMatrix:
 
 def char_coeffs(matrix: SymMatrix, bound: Optional[int] = None) -> list[Poly]:
     """Coefficients [c_0, ..., c_bound] of det(lambda*I - M) in falling
-    powers; `bound` defaults to m.  The walk takes at most `bound` entries
-    of M, so its cost falls with the bound."""
+    powers; `bound` defaults to m, and a bound above m gives zeros past c_m.
+    The walk takes at most `bound` entries of M, so its cost falls with the
+    bound."""
     m = matrix.m
     bound = m if bound is None else bound
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
     # every (variable, exponent) pair of the entries is ranked once, in pair
     # order (variable-key order: t_2 before t_10), so the walk carries tuples
     # of int ranks and a leaf sorts ints instead of nested tuples
@@ -229,6 +232,13 @@ def char_coeffs(matrix: SymMatrix, bound: Optional[int] = None) -> list[Poly]:
     row_vars = [{var for e in row for mono in e.terms for var, _ in mono} for row in matrix.entries]
     repeats = sum(map(len, row_vars)) > len(set().union(*row_vars))
     sums: list[dict] = [{} for _ in range(bound + 1)]
+    # below m, a walk stops once the entries it must still take pass the
+    # bound: the row of each used column at or above i cannot take its
+    # lambda, so it takes an entry, and each free column below i needs an
+    # entry from a row at or after i.  With no bound the test never fires
+    # and only costs time.  low[i] holds the columns below i
+    prune = bound < m
+    low = [(1 << i) - 1 for i in range(m)]
 
     def walk(i: int, used: int, coeff, ranks: tuple, r: int) -> None:
         if i == m:
@@ -243,6 +253,8 @@ def char_coeffs(matrix: SymMatrix, bound: Optional[int] = None) -> list[Poly]:
             acc[key] = acc.get(key, 0) + coeff
             return
         if need[i] & ~used:
+            return
+        if prune and (r + (used >> i).bit_count() > bound or r + (low[i] & ~used).bit_count() > bound):
             return
         if not used >> i & 1:
             odd = (used >> i + 1).bit_count() & 1

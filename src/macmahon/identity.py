@@ -57,14 +57,24 @@ adds the key of a_aa to that of w.  Only the prepends whose front
 k-window is strictly decreasing are rewritten (`PrependRewriter.front`,
 cached), and of the other arrangements of that window only those that
 leave a decreasing window at their junction with the rest of the word
-are rewritten further.  A general node carries NF(j) as one dict
-{word: [c, key]}.  The kept words of a child are distinct and enter it
-first; a rewritten word then adds its c into the entry it meets, or
-enters with the sum of the keys of its column entries, from the columns
-of A for the letters of j that the sweep carries along its path.  A key
-depends only on the word and j, so merging only adds c's, and a word
-whose c cancels stays with c = 0: it is skipped when its node reads its
-terms, since it adds 0 to every sum.
+are rewritten further.
+
+The walk has three kinds of node: lean, single-term and general.  A
+lean node is an admissible j (below).  A single-term node is a j whose
+normal form is one word c * u; it carries u, c and its key as plain
+values and builds no dict.  Its kept children stay single-term, and so
+does a rewritten child whose front is one word.  At k = 2 the algebra is
+the symmetric algebra, NF(j) is the sorted word with coefficient 1, and
+every node that is not lean is single-term.  For k >= 3 no front met in
+a sweep has had fewer than k! - 1 words, so a rewritten child takes the
+general node, which carries NF(j) as one dict {word: [c, key]}.  The
+kept words of a child are distinct and enter it first; a rewritten word
+then adds its c into the entry it meets, or enters with the sum of the
+keys of its column entries, from the columns of A for the letters of j
+that the sweep carries along its path.  A key depends only on the word
+and j, so merging only adds c's, and a word whose c cancels stays with
+c = 0: it is skipped when its node reads its terms, since it adds 0 to
+every sum.
 
 Most words within the hull are admissible (16,327 of 16,748 at
 m = k = 4, cap 8), and for an admissible j, NF(j) is j itself, whose
@@ -77,18 +87,19 @@ decreasing run the word opens with).  The walk passes through an
 admissible j only to reach the children (a,) + j with a > head(j), the
 letter above which x_a * j is rewritten: such a child has a strictly
 decreasing front window, and so has every word below it, so that
-subtree takes the general node.  An admissible node is lean: it carries
-its content, j and its opening run, builds no dict and adds no sum, and
-it is entered only if a rewritten word below it can fit in the cap:
-that takes at least k - run more letters, or k if the climbing letters
-would pass m.  At m = k = 4, cap 8 the walk enters 1,010 lean nodes
-and 187 general ones.  The weight is linear in c, so the last level
-(len(j) = cap) is never built: each node of length cap - 1 adds its
-leaves' kept and rewritten terms into {key: c} for each partition
-directly.  `_specialise` then
-forms every content's total from its partition's: it reads the digits
-of each key of U_lambda once (`PackedCodec.digits`) and evaluates the
-term at each relabelling of A, skipping the terms on zero entries.
+subtree takes the single-term and general nodes.  An admissible node is
+lean: it carries its content, j and its opening run, builds no dict and
+adds no sum, and it is entered only if a rewritten word below it can fit
+in the cap: that takes at least k - run more letters, or k if the
+climbing letters would pass m.  At m = k = 4, cap 8 the walk enters
+1,010 lean nodes and 187 general ones; at m = 4, k = 2, cap 9, 200 lean
+nodes and 26,986 single-term ones.  The weight is linear in c, so the
+last level (len(j) = cap) is never built: each node of length cap - 1
+adds its leaves' kept and rewritten terms into {key: c} for each
+partition directly.  `_specialise` then forms every content's total
+from its partition's: it reads the digits of each key of U_lambda once
+(`PackedCodec.digits`) and evaluates the term at each relabelling of A,
+skipping the terms on zero entries.
 Numeric entries (int or `Fraction`) are multiplied as scalars; every
 other entry is packed in the codec of A's own variables, so that
 multiplying two monomials is again one integer addition.  For the
@@ -174,7 +185,7 @@ class _Universal(NamedTuple):
     `nodes` counts the words of length < cap that the sweep covers (the
     empty word even at cap 0) and `leaves` those of length cap, summed
     without being built: the admissible ones by count, the others as the
-    general walk meets them."""
+    single-term and general nodes meet them."""
 
     totals: dict[tuple, dict[int, int]]
     codec: PackedCodec
@@ -187,10 +198,13 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
     # whose partition hull has size <= cap.  Every weight is c times one
     # monomial, so a term of NF(j) is (c, key): a kept prepend adds the key
     # of a_aa, and a rewritten word sums the keys of its column entries,
-    # cols[s][b] = key of a_{b j_s}.  A word's key depends only on the word
-    # and j, so the general `visit` carries NF(j) as {word: [c, key]}, and a
-    # rewritten word that meets a kept one just adds its c; a word whose c
-    # cancels stays with c = 0 and is skipped.
+    # cols[s][b] = key of a_{b j_s}.  A normal form that is one word c * u
+    # (every one at k = 2) takes `single`, which carries u, c and key as
+    # plain values.  A word's key depends only on the word and j, so the
+    # general `visit` carries NF(j) as {word: [c, key]}, and a rewritten word
+    # that meets a kept one just adds its c; a word whose c cancels stays
+    # with c = 0 and is skipped.  `enter` sends a child built from `front`
+    # to the one or the other.
     # Only the totals of partition contents are kept: the others follow by
     # relabelling (`_specialise`).  The last level (len(j) = cap, all of
     # partition content) is summed from its parent and never built.
@@ -200,7 +214,7 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
     # program over the contents whose hull fits.  `lean(content, j, run)`
     # walks an admissible j only to reach its children (a,) + j with
     # a > head(j), which have a decreasing front window, as has every word
-    # below them, so their subtrees go to the general `visit`, starting
+    # below them, so their subtrees go to `single` or `visit`, starting
     # from front((a,) + j).  `run` is the length of the decreasing run j
     # opens with, and head(j) is j's first letter once run = k - 1.
     m, k = params.m, params.k
@@ -307,6 +321,43 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
                             entry[0] += c * coeff
             visit(child_cols, child_content, child, child_sums)
 
+    def single(cols: list, content: tuple, u: Word, c: int, key: int, sums: Optional[dict]) -> None:
+        # NF(j) = c * u, one word: a kept child stays one word, and a
+        # rewritten one whose front is one word too
+        nonlocal nodes, leaves
+        nodes += 1
+        if sums is not None:
+            sums[key] = sums.get(key, 0) + c
+        head = heads.get(u[:front_len], m)
+        children = children_of(content)
+        if len(cols) + 1 == cap:
+            leaves += len(children)
+            for a, _, leaf_sums in children:
+                if a > head:
+                    leaf_cols = [columns[a - 1], *cols]
+                    for w, coeff in front((a,) + u).items():
+                        w_key = sum(map(getitem, leaf_cols, w))
+                        leaf_sums[w_key] = leaf_sums.get(w_key, 0) + c * coeff
+                else:
+                    w_key = key + diagonals[a - 1]
+                    leaf_sums[w_key] = leaf_sums.get(w_key, 0) + c
+            return
+        for a, child_content, child_sums in children:
+            child_cols = [columns[a - 1], *cols]
+            if a > head:
+                enter(child_cols, child_content, front((a,) + u), c, child_sums)
+            else:
+                single(child_cols, child_content, (a,) + u, c, key + diagonals[a - 1], child_sums)
+
+    def enter(cols: list, content: tuple, nf: dict[Word, int], c: int, sums: Optional[dict]) -> None:
+        # the node of NF(j) = c * nf, nf from `front`: one word takes the
+        # single-term node, more the general `visit`
+        if len(nf) == 1:
+            (u, coeff), = nf.items()
+            single(cols, content, u, c * coeff, sum(map(getitem, cols, u)), sums)
+        else:
+            visit(cols, content, {u: [c * coeff, sum(map(getitem, cols, u))] for u, coeff in nf.items()}, sums)
+
     def lean(content: tuple, j: Word, run: int) -> None:
         # the admissible word j, whose own term the count above holds; the
         # columns of j are formed only for a rewritten child
@@ -328,9 +379,7 @@ def _universal_sweep(params: AlgebraParams, cap: int) -> _Universal:
         for a, child_content, child_sums in children:
             word = (a,) + j
             if a > head:
-                child_cols = [columns[b - 1] for b in word]
-                visit(child_cols, child_content,
-                      {u: [c, sum(map(getitem, child_cols, u))] for u, c in front(word).items()}, child_sums)
+                enter([columns[b - 1] for b in word], child_content, front(word), 1, child_sums)
                 continue
             child_run = run + 1 if a > first else 1
             # reach: the fewest prepends before a word below the child is

@@ -314,6 +314,9 @@ class PackedCodec:
     __slots__ = ("variables", "base", "places")
 
     def __init__(self, variables, base: int):
+        # in base 1 `digits` would never shrink a key, and base 0 divides by 0
+        if base < 2:
+            raise ValueError(f"codec base {base} is below 2")
         self.variables = tuple(sorted(variables))
         self.base = base
         self.places = {var: base ** i for i, var in enumerate(self.variables)}

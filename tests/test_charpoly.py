@@ -229,13 +229,27 @@ def test_second_factor_size_mismatch():
         second_factor(SymMatrix.identity(2), AlgebraParams(2, 2), -1)
 
 
-@pytest.mark.parametrize("matrix", [SymMatrix.random(4, seed=3), SymMatrix.random(5, seed=8),
-                                    SymMatrix.symbolic(3), SymMatrix.symbolic(4)],
-                         ids=["random4", "random5", "symbolic3", "symbolic4"])
+def random_with_zeros(m, seed, zero):
+    # SymMatrix.random(m, seed) with the entries (i, j) where zero(i, j) set to 0
+    rows = SymMatrix.random(m, seed=seed).scalar_rows()
+    return SymMatrix.from_rows([[0 if zero(i, j) else value for j, value in enumerate(row)]
+                                for i, row in enumerate(rows)])
+
+
+@pytest.mark.parametrize("matrix", [
+    SymMatrix.random(4, seed=3), SymMatrix.random(5, seed=8), SymMatrix.symbolic(3), SymMatrix.symbolic(4),
+    random_with_zeros(6, 5, lambda i, j: (3 * i + 5 * j) % 4 == 0),
+    # triangular: no column can be filled from a row below it
+    random_with_zeros(7, 6, lambda i, j: i > j),
+    random_with_zeros(8, 7, lambda i, j: (i * j + i) % 3 == 1),
+    # a zero column and a zero row
+    random_with_zeros(8, 9, lambda i, j: j == 2 or i == 5),
+], ids=["random4", "random5", "symbolic3", "symbolic4", "zeros6", "triangular7", "zeros8", "zero-lines8"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_bounded_second_factor_is_the_full_one_truncated(matrix, k):
-    # the bound stops the walk at c_cap, so it must drop exactly the terms
-    # of t-degree > cap and no other
+    # the bound stops the walk at c_cap, and below m the walk also stops
+    # once the entries it must still take pass the bound, so it must drop
+    # exactly the terms of t-degree > cap and no other
     params = AlgebraParams(matrix.m, k)
     full = second_factor(matrix, params)
     for cap in range(matrix.m + 2):
@@ -244,6 +258,14 @@ def test_bounded_second_factor_is_the_full_one_truncated(matrix, k):
     coeffs = char_coeffs(scaled)
     for bound in range(matrix.m + 1):
         assert char_coeffs(scaled, bound) == coeffs[:bound + 1]
+    # a bound above m gives zeros past c_m
+    assert char_coeffs(scaled, matrix.m + 2) == coeffs + [Poly.zero()] * 2
+
+
+def test_negative_bound_is_refused():
+    # it used to raise IndexError from the empty list of sums
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        char_coeffs(SymMatrix.random(3, seed=1), -1)
 
 
 def test_random_matrix_reproducible():

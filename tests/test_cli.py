@@ -192,6 +192,17 @@ def test_verify_on_a_large_identity_matrix_at_a_small_cap(capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+def test_verify_on_a_large_random_matrix_at_a_small_cap(capsys):
+    # the bounded second factor stops a walk once the entries it must still
+    # take pass the cap; without that it visited every row for every
+    # partial assignment, and this took about three times as long
+    code, out = run_cli(capsys, "verify", "--m", "16", "--k", "3", "--cap", "4", "--matrix", "random",
+                        "--seed", "1")
+    assert code == 0
+    assert out.splitlines() == ["verify m=16 k=3 cap=4 matrix=random mode=numeric",
+                                *(f"  degree {d}: ok (residual terms: 0)" for d in range(5)), "PASS"]
+
+
 def test_matrix_file_bool_size_exits_2(tmp_path, capsys):
     # "m": true used to load as a 1x1 matrix, since bool is an int
     path = tmp_path / "bool.json"

@@ -614,7 +614,9 @@ SWEEP_SHAPES = [(P33, 5), (AlgebraParams(4, 3), 4), (AlgebraParams(4, 2), 4), (A
                 (AlgebraParams(4, 3), 5)]
 
 
-@pytest.mark.parametrize("params,cap", SWEEP_SHAPES)
+# k = 2: every normal form is one word, so each node of length cap - 1 is
+# single-term, with rewritten leaves
+@pytest.mark.parametrize("params,cap", SWEEP_SHAPES + [(AlgebraParams(4, 2), 6)])
 def test_universal_table_is_the_full_sweep_of_the_generic_matrix(params, cap):
     # decoded, the universal table holds exactly the partition totals of the
     # per-word sweep of the symbolic matrix, which sweeps every word

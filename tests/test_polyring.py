@@ -262,3 +262,12 @@ def test_packed_codec_bounds():
     # a digit carried past the last variable is not a monomial of the codec
     with pytest.raises(ValueError, match="more digits"):
         codec.unpack(3 ** 2)
+
+
+@pytest.mark.parametrize("base", [0, 1])
+def test_packed_codec_refuses_a_base_below_2(base):
+    # base 1 used to be accepted, and then digits(5) looped forever, since
+    # divmod(key, 1) never shrinks the key; base 0 divided by zero
+    with pytest.raises(ValueError, match=f"codec base {base} is below 2"):
+        PackedCodec([tvar(1)], base)
+    assert PackedCodec([tvar(1)], 2).digits(5) == [(0, 1), (2, 1)]
